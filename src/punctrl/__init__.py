@@ -23,6 +23,7 @@ from .metrics import (
 )
 from .net import (
     Adam,
+    ForwardCache,
     NetworkParams,
     TargetPair,
     backward,

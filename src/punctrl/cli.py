@@ -169,7 +169,11 @@ def cmd_probe(args) -> int:
         print(f"checkpoint directory not found: {root}", file=sys.stderr)
         return 1
     manifest = os.path.join(root, "manifest.ini")
-    cfg = load_config(manifest if os.path.exists(manifest) else None)
+    if not os.path.isfile(manifest):
+        print(f"no manifest.ini in {root}: probe needs the manifest the checkpoints were "
+              "trained with", file=sys.stderr)
+        return 1
+    cfg = load_config(manifest)
     files = _find_checkpoints(root)
     if not files:
         print(f"no checkpoints found under {root}", file=sys.stderr)

@@ -17,6 +17,9 @@ from .sim import RequestKind, SimConfig
 from .train import TrainConfig, manual_action, manual_baseline, train
 from .validation import check_state_matrix
 
+# rows per batched forward pass in DqnScheduler.decision_function
+PREDICT_BLOCK_ROWS = 1024
+
 
 class ParamsProtocolMixin:
     """get_params/set_params with scikit-learn semantics, no dependency."""
@@ -153,15 +156,21 @@ class DqnScheduler(ParamsProtocolMixin):
             raise RuntimeError("this DqnScheduler is not fitted yet; call fit() first")
 
     def decision_function(self, X) -> np.ndarray:
-        """Per-action value estimates (the Gaussian heads report their means)."""
+        """Per-action value estimates (the Gaussian heads report their means).
+
+        Rows go through the network PREDICT_BLOCK_ROWS at a time, so memory
+        stays bounded for any number of rows. The values agree with one
+        forward pass per row up to rounding.
+        """
         self._check_fitted()
         X = check_state_matrix(X, 3 + self.n_resources)
-        rows = []
         deterministic = self.agent == EG
-        for s in X:
-            out = forward(self.params_, s)
-            rows.append(out if deterministic else split_gaussian(out)[0])
-        return np.stack(rows)
+        values = np.empty((X.shape[0], 1 + self.n_resources))
+        for start in range(0, X.shape[0], PREDICT_BLOCK_ROWS):
+            stop = start + PREDICT_BLOCK_ROWS
+            out = forward(self.params_, X[start:stop])
+            values[start:stop] = out if deterministic else split_gaussian(out)[0]
+        return values
 
     def predict(self, X) -> np.ndarray:
         """Greedy action per state vector."""

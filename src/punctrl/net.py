@@ -8,7 +8,7 @@ reverse-mode rules for this stack, so no autodiff framework is needed.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,57 +134,122 @@ class NetworkParams:
         self.flat[:] = state["flat"]
 
 
-def forward_cached(params: NetworkParams, s: np.ndarray):
-    """Forward pass returning the output and the cache backward() needs."""
+def _checked_input(params: NetworkParams, s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
-    if s.shape != (params.input_dim,):
+    if s.ndim not in (1, 2) or s.shape[-1] != params.input_dim:
         raise ValueError(f"input of shape {s.shape} does not match input_dim {params.input_dim}")
-    acts = [s]
-    pre, tanhs = [], []
-    a = s
-    n_hidden = len(params.weights) - 1
-    for i in range(n_hidden):
-        z = params.weights[i] @ a + params.biases[i]
-        t = np.tanh(z)
-        a = np.where(z > 0.0, t, PTANH_NEG_SLOPE * t)
-        pre.append(z)
-        tanhs.append(t)
-        acts.append(a)
-    out = params.weights[-1] @ a + params.biases[-1]
-    return out, (acts, pre, tanhs)
+    return s
+
+
+def _hidden_layer(w, b, a, t, out) -> None:
+    """t <- tanh(a W^T + b), out <- penalized tanh of the same pre-activation.
+
+    tanh keeps the sign of its argument, so max(t, slope * t) picks t on the
+    positive half-line and slope * t elsewhere.
+    """
+    np.matmul(a, w.T, out=t)
+    t += b
+    np.tanh(t, out=t)
+    np.multiply(t, PTANH_NEG_SLOPE, out=out)
+    np.maximum(t, out, out=out)
+
+
+class ForwardCache:
+    """Per-layer buffers of one forward pass, refilled by every pass that reuses them.
+
+    Holds what backward() needs (the layer inputs and the hidden tanh
+    values) plus backward's own scratch. Built for one input shape, ``(d,)``
+    or ``(n, d)``; backward accepts only the single-input kind.
+    """
+
+    __slots__ = ("acts", "tanhs", "out", "delta", "dact", "nonpos")
+
+    def __init__(self, params: NetworkParams, input_shape):
+        lead = tuple(input_shape[:-1])
+        widths = [w.shape[0] for w in params.weights[:-1]]
+        self.acts = [np.empty(tuple(input_shape))] + [np.empty(lead + (k,)) for k in widths]
+        self.tanhs = [np.empty(lead + (k,)) for k in widths]
+        self.out = np.empty(lead + (params.output_dim,))
+        self.delta = [np.empty(k) for k in widths]
+        self.dact = [np.empty(k) for k in widths]
+        self.nonpos = [np.empty(k, dtype=bool) for k in widths]
+
+
+def forward_cached(params: NetworkParams, s: np.ndarray, cache: ForwardCache | None = None):
+    """Forward pass on one input ``(d,)`` or a batch ``(n, d)``.
+
+    Returns the output and the cache backward() needs. A passed-in cache
+    built for the same shape is refilled, so the returned output is its
+    buffer and the next pass through that cache overwrites it.
+    """
+    s = _checked_input(params, s)
+    if cache is None:
+        cache = ForwardCache(params, s.shape)
+    elif cache.acts[0].shape != s.shape:
+        raise ValueError(f"cache built for input shape {cache.acts[0].shape}, got {s.shape}")
+    np.copyto(cache.acts[0], s)
+    for i in range(len(params.weights) - 1):
+        _hidden_layer(params.weights[i], params.biases[i], cache.acts[i], cache.tanhs[i],
+                      cache.acts[i + 1])
+    np.matmul(cache.acts[-1], params.weights[-1].T, out=cache.out)
+    cache.out += params.biases[-1]
+    return cache.out, cache
 
 
 def forward(params: NetworkParams, s: np.ndarray) -> np.ndarray:
-    out, _ = forward_cached(params, s)
+    """Output for one input ``(d,)`` or a batch ``(n, d)``, in a fresh array.
+
+    Keeps no per-layer cache, so a batch needs two hidden-width buffers.
+    """
+    a = _checked_input(params, s)
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        t = np.empty(a.shape[:-1] + (w.shape[0],))
+        act = np.empty_like(t)
+        _hidden_layer(w, b, a, t, act)
+        a = act
+    out = a @ params.weights[-1].T
+    out += params.biases[-1]
     return out
 
 
-def backward(params: NetworkParams, cache, grad_out: np.ndarray) -> NetworkParams:
-    """Exact gradients of (grad_out . output) w.r.t. every parameter."""
-    acts, pre, tanhs = cache
+def backward(params: NetworkParams, cache: ForwardCache, grad_out: np.ndarray,
+             out: NetworkParams | None = None) -> NetworkParams:
+    """Exact gradients of (grad_out . output) w.r.t. every parameter.
+
+    Takes the cache of a single-input forward pass. Writes into ``out``
+    when given, else into a new NetworkParams, and returns it.
+    """
+    if cache.out.ndim != 1:
+        raise ValueError("backward takes the cache of a single-input forward pass")
+    grads = params.zeros_like() if out is None else out
     n_layers = len(params.weights)
-    grads = params.zeros_like()
     g = np.asarray(grad_out, dtype=float)
-    np.outer(g, acts[-1], out=grads.weights[-1])
+    np.multiply(g[:, None], cache.acts[-1], out=grads.weights[-1])
     grads.biases[-1][:] = g
-    g = params.weights[-1].T @ g
+    if n_layers > 1:
+        np.matmul(params.weights[-1].T, g, out=cache.delta[-1])
     for i in range(n_layers - 2, -1, -1):
-        dact = (1.0 - tanhs[i] * tanhs[i]) * np.where(pre[i] > 0.0, 1.0, PTANH_NEG_SLOPE)
-        g = g * dact
-        np.outer(g, acts[i], out=grads.weights[i])
+        g, t, dact = cache.delta[i], cache.tanhs[i], cache.dact[i]
+        # (1 - t^2) times the slope of the half-line the pre-activation was on
+        np.multiply(t, t, out=dact)
+        np.subtract(1.0, dact, out=dact)
+        np.less_equal(t, 0.0, out=cache.nonpos[i])
+        np.multiply(dact, PTANH_NEG_SLOPE, out=dact, where=cache.nonpos[i])
+        g *= dact
+        np.multiply(g[:, None], cache.acts[i], out=grads.weights[i])
         grads.biases[i][:] = g
         if i > 0:
-            g = params.weights[i].T @ g
+            np.matmul(params.weights[i].T, g, out=cache.delta[i - 1])
     return grads
 
 
 def split_gaussian(out: np.ndarray):
-    """Read a Gaussian-head output as (mu, log_sigma) halves."""
-    n = out.shape[0]
+    """Read a Gaussian-head output, one row or a batch, as (mu, log_sigma) halves."""
+    n = out.shape[-1]
     if n % 2 != 0:
         raise ValueError(f"Gaussian head needs an even output width, got {n}")
     half = n // 2
-    return out[:half], out[half:]
+    return out[..., :half], out[..., half:]
 
 
 def reparameterize(mu: np.ndarray, log_sigma: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -233,7 +298,8 @@ class Adam:
         v = self.second_moment
         buf = self._scratch
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        np.multiply(g, 1.0 - self.beta1, out=buf)
+        m += buf
         v *= self.beta2
         np.multiply(g, g, out=buf)
         buf *= 1.0 - self.beta2
@@ -254,15 +320,18 @@ class TargetPair:
     online: NetworkParams
     target: NetworkParams = None
     tau: float = 1e-4
+    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.target is None:
             self.target = self.online.copy()
+        self._scratch = np.empty_like(self.online.flat)
 
     def polyak_update(self) -> None:
         """target <- (1 - tau) * target + tau * online, elementwise."""
         self.target.flat *= 1.0 - self.tau
-        self.target.flat += self.tau * self.online.flat
+        np.multiply(self.online.flat, self.tau, out=self._scratch)
+        self.target.flat += self._scratch
 
 
 def params_to_bytes(params: NetworkParams) -> bytes:
@@ -278,20 +347,33 @@ def params_to_bytes(params: NetworkParams) -> bytes:
 
 
 def params_from_bytes(buf: bytes) -> NetworkParams:
-    n_layers = int(np.frombuffer(buf, dtype="<u4", count=1)[0])
-    shapes = np.frombuffer(buf, dtype="<u4", count=2 * n_layers, offset=4).reshape(n_layers, 2)
+    """Inverse of params_to_bytes; rejects a short buffer and trailing bytes."""
+    if len(buf) < 4:
+        raise ValueError(f"truncated parameter snapshot: {len(buf)} bytes, no layer count")
+    n_layers = int.from_bytes(buf[:4], "little")
+    if n_layers == 0:
+        raise ValueError("parameter snapshot holds no layers")
     offset = 4 + 8 * n_layers
+    if len(buf) < offset:
+        raise ValueError(
+            f"truncated parameter snapshot: {len(buf)} bytes, the {n_layers}-layer shape "
+            f"header needs {offset}"
+        )
+    shapes = np.frombuffer(buf, dtype="<u4", count=2 * n_layers, offset=4).reshape(n_layers, 2)
+    shapes = [(int(rows), int(cols)) for rows, cols in shapes]
+    expected = offset + 8 * sum(rows * cols + rows for rows, cols in shapes)
+    if len(buf) < expected:
+        raise ValueError(f"truncated parameter snapshot: {len(buf)} of {expected} bytes")
+    if len(buf) > expected:
+        raise ValueError(f"trailing bytes after parameter snapshot: {len(buf)} of {expected}")
     weights, biases = [], []
     for rows, cols in shapes:
-        rows, cols = int(rows), int(cols)
         w = np.frombuffer(buf, dtype="<f8", count=rows * cols, offset=offset).reshape(rows, cols)
         offset += 8 * rows * cols
         b = np.frombuffer(buf, dtype="<f8", count=rows, offset=offset)
         offset += 8 * rows
         weights.append(w.astype(float))
         biases.append(b.astype(float))
-    if offset != len(buf):
-        raise ValueError("trailing bytes after parameter snapshot")
     return NetworkParams(weights, biases)
 
 

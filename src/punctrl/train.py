@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agents import (
+    AGENT_KINDS,
     EG,
     VB,
     ActionChoice,
@@ -27,6 +28,7 @@ from .agents import (
 from .metrics import EpisodeRow
 from .net import (
     Adam,
+    ForwardCache,
     NetworkParams,
     TargetPair,
     forward,
@@ -138,11 +140,14 @@ def _choice_from_noise(spec, head_out, action, noise) -> ActionChoice:
     return ActionChoice(action, mu + np.exp(log_sigma) * noise, noise)
 
 
-def _learn_step(spec, pair, adam, head_out, cache, choice, tr) -> float:
-    """One gradient/Polyak update on a single transition; returns the loss."""
+def _learn_step(spec, pair, adam, head_out, cache, choice, tr, grads) -> float:
+    """One gradient/Polyak update on a single transition; returns the loss.
+
+    ``grads`` is the run's gradient buffer, overwritten by every step.
+    """
     target_q = _target_values(spec, pair.target, tr.s_next)
     loss, grad_out = _output_gradients(spec, head_out, choice, tr, target_q)
-    grads = backward(pair.online, cache, grad_out)
+    backward(pair.online, cache, grad_out, out=grads)
     adam.step(pair.online, grads)
     pair.polyak_update()
     return loss
@@ -203,6 +208,10 @@ def train(cfg: TrainConfig, initial_params: NetworkParams | None = None) -> RunR
         online = initial_params.copy()
     pair = TargetPair(online, tau=cfg.target_tau)
     adam = Adam(online, cfg.learning_rate)
+    # per-run buffers that every step refills
+    cache = ForwardCache(online, (cfg.sim.state_dim,))
+    grads = online.zeros_like()
+    tr = Transition(None, 0, 0.0, None, terminal=False)
 
     total_decay = cfg.total_decay_steps
     rows = []
@@ -217,11 +226,11 @@ def train(cfg: TrainConfig, initial_params: NetworkParams | None = None) -> RunR
         for _ in range(cfg.steps_per_episode):
             if is_eg:
                 epsilon = epsilon_at(global_step, total_decay, spec)
-            head_out, cache = forward_cached(online, obs)
+            head_out, _ = forward_cached(online, obs, cache)
             choice = select_action(spec, head_out, action_rng, epsilon)
             obs_next, reward, _ = env.step(choice.action)
-            tr = Transition(obs, choice.action, reward.r_total, obs_next, terminal=False)
-            loss = _learn_step(spec, pair, adam, head_out, cache, choice, tr)
+            tr.s, tr.a, tr.r, tr.s_next = obs, choice.action, reward.r_total, obs_next
+            loss = _learn_step(spec, pair, adam, head_out, cache, choice, tr, grads)
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at episode {episode}, step {global_step} "
@@ -365,12 +374,14 @@ def probe_adaptation(
     pair = TargetPair(online, tau=cfg.target_tau)
     adam = Adam(online, cfg.learning_rate)
     tr = probe_transition(cfg.sim)
+    cache = ForwardCache(online, tr.s.shape)
+    grads = online.zeros_like()
     for count in range(1, cap + 1):
-        head_out, cache = forward_cached(online, tr.s)
+        head_out, _ = forward_cached(online, tr.s, cache)
         choice = select_action(spec, head_out, rng, epsilon=0.0)
         if choice.action != 0:
             return count
-        loss = _learn_step(spec, pair, adam, head_out, cache, choice, tr)
+        loss = _learn_step(spec, pair, adam, head_out, cache, choice, tr, grads)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"non-finite loss during adaptation probe at step {count}")
     return cap
@@ -394,13 +405,22 @@ def save_checkpoint(path, params: NetworkParams, agent_kind: str, step_count: in
 
 
 def load_checkpoint(path) -> tuple[NetworkParams, str, int]:
+    """Read a checkpoint; a malformed file raises ValueError naming ``path``."""
     with open(path, "rb") as fh:
         buf = fh.read()
-    if buf[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path} is not a checkpoint file")
-    kind_len = int(np.frombuffer(buf, dtype="<u4", count=1, offset=4)[0])
-    kind = buf[8 : 8 + kind_len].decode("utf-8")
-    offset = 8 + kind_len
-    step_count = int(np.frombuffer(buf, dtype="<u8", count=1, offset=offset)[0])
-    params = params_from_bytes(buf[offset + 8 :])
+    try:
+        if buf[:4] != CHECKPOINT_MAGIC:
+            raise ValueError("not a checkpoint file")
+        if len(buf) < 8:
+            raise ValueError(f"truncated checkpoint: {len(buf)} bytes, no agent kind length")
+        offset = 8 + int.from_bytes(buf[4:8], "little")
+        if len(buf) < offset + 8:
+            raise ValueError(f"truncated checkpoint: {len(buf)} bytes, header needs {offset + 8}")
+        kind = buf[8:offset].decode("utf-8", errors="replace")
+        if kind not in AGENT_KINDS:
+            raise ValueError(f"agent kind {kind!r} is not one of {AGENT_KINDS}")
+        step_count = int.from_bytes(buf[offset : offset + 8], "little")
+        params = params_from_bytes(buf[offset + 8 :])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return params, kind, step_count

@@ -177,6 +177,12 @@ class TestCmdProbe:
         args = parser.parse_args(["probe", "--checkpoints", trained_dir])
         assert args.cap == 10000
 
+    def test_missing_manifest_fails(self, trained_dir, capsys):
+        os.remove(os.path.join(trained_dir, "manifest.ini"))
+        assert run("probe", "--checkpoints", trained_dir, "--mode", "reaction") == 1
+        assert "manifest.ini" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(trained_dir, "probes.csv"))
+
     def test_missing_checkpoints_fail(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from punctrl.estimator import DqnScheduler, ManualScheduler
+from punctrl.estimator import PREDICT_BLOCK_ROWS, DqnScheduler, ManualScheduler
+from punctrl.net import forward
 
 
 def tiny_scheduler(**overrides):
@@ -66,6 +67,16 @@ class TestDqnScheduler:
         est = tiny_scheduler().fit()
         X = np.random.default_rng(1).uniform(0, 1, size=(4, 5))
         assert np.array_equal(est.predict(X), np.argmax(est.decision_function(X), axis=1))
+
+    @pytest.mark.parametrize("agent", ["eg", "vb"])
+    def test_blocks_agree_with_row_by_row(self, agent):
+        est = tiny_scheduler(agent=agent).fit()
+        X = np.random.default_rng(2).uniform(0, 1, size=(2 * PREDICT_BLOCK_ROWS + 37, 5))
+        rows = np.stack([forward(est.params_, s)[:3] for s in X])
+        values = est.decision_function(X)
+        assert values.shape == (X.shape[0], 3)
+        assert np.allclose(values, rows, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(est.predict(X), np.argmax(rows, axis=1))
 
     def test_bad_feature_count_rejected(self):
         est = tiny_scheduler().fit()

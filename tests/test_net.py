@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from punctrl.net import (
+    PTANH_NEG_SLOPE,
     Adam,
+    ForwardCache,
     NetworkParams,
     TargetPair,
     backward,
@@ -76,6 +78,155 @@ class TestForward:
         params = NetworkParams.zeros(5, (4,), 3)
         with pytest.raises(ValueError):
             forward(params, np.zeros(4))
+
+    def test_batch_with_wrong_width_rejected(self):
+        params = NetworkParams.zeros(5, (4,), 3)
+        for bad in (np.zeros((7, 4)), np.zeros((7, 6)), np.zeros((2, 7, 5))):
+            with pytest.raises(ValueError):
+                forward(params, bad)
+            with pytest.raises(ValueError):
+                forward_cached(params, bad)
+
+    def test_cache_of_another_shape_rejected(self):
+        params = NetworkParams.zeros(5, (4,), 3)
+        cache = ForwardCache(params, (5,))
+        with pytest.raises(ValueError):
+            forward_cached(params, np.zeros((2, 5)), cache)
+
+    def test_backward_rejects_batch_cache(self):
+        params = NetworkParams.zeros(5, (4,), 3)
+        out, cache = forward_cached(params, np.zeros((2, 5)))
+        with pytest.raises(ValueError):
+            backward(params, cache, np.zeros(3))
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize("output_dim", [3, 6])  # deterministic, Gaussian head
+    def test_matches_row_by_row(self, output_dim):
+        rng = np.random.default_rng(21)
+        params = NetworkParams.init(5, (128, 128), output_dim, rng)
+        # a fixed grid of valid observations, as the estimator sees them
+        grid = np.stack(np.meshgrid(
+            np.linspace(0.0, 1.0, 7), [0.0, 1.0], [0.0, 1.0],
+            np.linspace(0.0, 1.0, 8), np.linspace(0.0, 1.0, 8), indexing="ij",
+        ), axis=-1).reshape(-1, 5)
+        batched = forward(params, grid)
+        rows = np.stack([forward(params, s) for s in grid])
+        assert batched.shape == rows.shape == (grid.shape[0], output_dim)
+        # a matrix product sums in another order than 128-term dot products;
+        # near-zero outputs need the absolute term (float64 eps * fan-in ~ 3e-14)
+        assert np.allclose(batched, rows, rtol=1e-12, atol=1e-14)
+        if output_dim == 6:
+            batched, rows = split_gaussian(batched)[0], split_gaussian(rows)[0]
+        assert np.array_equal(np.argmax(batched, axis=1), np.argmax(rows, axis=1))
+
+
+def naive_forward_cached(params, s):
+    """Reference forward pass: fresh arrays, np.where for the activation."""
+    acts, pre, tanhs = [s], [], []
+    a = s
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = w @ a + b
+        t = np.tanh(z)
+        a = np.where(z > 0.0, t, PTANH_NEG_SLOPE * t)
+        pre.append(z)
+        tanhs.append(t)
+        acts.append(a)
+    return params.weights[-1] @ a + params.biases[-1], (acts, pre, tanhs)
+
+
+def naive_backward(params, cache, grad_out):
+    """Reference backward pass: np.outer into a fresh gradient set."""
+    acts, pre, tanhs = cache
+    grads = params.zeros_like()
+    g = grad_out
+    grads.weights[-1][:] = np.outer(g, acts[-1])
+    grads.biases[-1][:] = g
+    g = params.weights[-1].T @ g
+    for i in range(len(params.weights) - 2, -1, -1):
+        g = g * ((1.0 - tanhs[i] * tanhs[i]) * np.where(pre[i] > 0.0, 1.0, PTANH_NEG_SLOPE))
+        grads.weights[i][:] = np.outer(g, acts[i])
+        grads.biases[i][:] = g
+        if i > 0:
+            g = params.weights[i].T @ g
+    return grads
+
+
+class NaiveAdam:
+    """Reference Adam that allocates every intermediate, in Adam.step's operation order."""
+
+    def __init__(self, n, lr):
+        self.lr, self.t = lr, 0
+        self.m, self.v = np.zeros(n), np.zeros(n)
+
+    def step(self, flat, g):
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        self.t += 1
+        bc1, bc2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+        self.m = self.m * b1 + (1.0 - b1) * g
+        self.v = self.v * b2 + g * g * (1.0 - b2)
+        return flat - self.m / (np.sqrt(self.v) / math.sqrt(bc2) + eps) * (self.lr / bc1)
+
+
+class TestEngineMatchesNaiveReference:
+    @pytest.mark.parametrize("hidden", [(128, 128), (16,), (9, 7, 5)])
+    def test_training_steps_bit_identical(self, hidden):
+        rng = np.random.default_rng(23)
+        online = NetworkParams.init(5, hidden, 6, rng)
+        pair = TargetPair(online, tau=1e-2)
+        adam = Adam(online, learning_rate=1e-2)
+        cache = ForwardCache(online, (5,))
+        grads = online.zeros_like()
+
+        ref_online, ref_target = online.flat.copy(), online.flat.copy()
+        ref_params = online.copy()
+        ref_adam = NaiveAdam(online.flat.size, 1e-2)
+        for _ in range(20):
+            s = rng.standard_normal(5) * 2.0
+            grad_out = rng.standard_normal(6)
+            out, _ = forward_cached(online, s, cache)
+            backward(online, cache, grad_out, out=grads)
+            adam.step(online, grads)
+            pair.polyak_update()
+
+            ref_params.flat[:] = ref_online
+            ref_out, ref_cache = naive_forward_cached(ref_params, s)
+            ref_grads = naive_backward(ref_params, ref_cache, grad_out)
+            assert np.array_equal(out, ref_out)
+            assert np.array_equal(grads.flat, ref_grads.flat)
+            ref_online = ref_adam.step(ref_online, ref_grads.flat)
+            ref_target = ref_target * (1.0 - 1e-2) + 1e-2 * ref_online
+            assert np.array_equal(online.flat, ref_online)
+            assert np.array_equal(pair.target.flat, ref_target)
+
+
+class TestBufferReuse:
+    def test_reused_buffers_equal_fresh_ones(self):
+        rng = np.random.default_rng(24)
+        params = NetworkParams.init(5, (32, 32), 6, rng)
+        cache = ForwardCache(params, (5,))
+        grads = params.zeros_like()
+        for _ in range(5):
+            s, grad_out = rng.standard_normal(5), rng.standard_normal(6)
+            out, _ = forward_cached(params, s, cache)
+            reused = backward(params, cache, grad_out, out=grads)
+            fresh_out, fresh_cache = forward_cached(params, s)
+            assert reused is grads
+            assert np.array_equal(out, fresh_out)
+            assert grads == backward(params, fresh_cache, grad_out)
+
+    def test_forward_on_other_network_keeps_gradient(self):
+        rng = np.random.default_rng(25)
+        params = NetworkParams.init(5, (32, 32), 6, rng)
+        other = NetworkParams.init(5, (32, 32), 6, rng)
+        s, grad_out = rng.standard_normal(5), rng.standard_normal(6)
+        _, cache = forward_cached(params, s)
+        expected = backward(params, cache, grad_out)
+        cache = ForwardCache(params, (5,))
+        forward_cached(params, s, cache)
+        forward(other, rng.standard_normal(5))
+        forward(other, rng.standard_normal((4, 5)))
+        assert backward(params, cache, grad_out) == expected
 
 
 class TestGaussianHead:

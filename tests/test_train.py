@@ -253,6 +253,36 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    @pytest.fixture
+    def real_checkpoint(self, tmp_path):
+        cfg = small_cfg(kind="vb", episodes=1, steps=20)
+        cfg.checkpoint_dir = str(tmp_path)
+        with open(train(cfg).checkpoints[0], "rb") as fh:
+            return fh.read()
+
+    def test_truncated_file_rejected_with_path(self, tmp_path, real_checkpoint):
+        n = len(real_checkpoint)
+        # empty, then inside the magic, the kind length, the kind, the step
+        # count, the layer count, the shape header, the first weights, the
+        # middle of the data and the last bias
+        for cut in (0, 2, 6, 9, 14, 21, 30, 50, n // 2, n - 1):
+            path = tmp_path / f"cut{cut}.ckpt"
+            path.write_bytes(real_checkpoint[:cut])
+            with pytest.raises(ValueError, match=str(path)):
+                load_checkpoint(path)
+
+    def test_trailing_bytes_rejected_with_path(self, tmp_path, real_checkpoint):
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(real_checkpoint + b"\x00")
+        with pytest.raises(ValueError, match=f"{path}.*trailing bytes"):
+            load_checkpoint(path)
+
+    def test_unknown_kind_rejected_with_path(self, tmp_path):
+        path = tmp_path / "odd.ckpt"
+        save_checkpoint(path, NetworkParams.zeros(5, (4,), 3), "zz", 7)
+        with pytest.raises(ValueError, match=f"{path}.*'zz'"):
+            load_checkpoint(path)
+
     def test_train_writes_final_checkpoint(self, tmp_path):
         cfg = small_cfg(episodes=1, steps=30)
         cfg.checkpoint_dir = str(tmp_path)
