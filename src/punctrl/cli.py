@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .agents import AGENT_KINDS
-from .config import ConfigError, as_train_config, load_config, write_manifest
+from .config import ConfigError, as_train_config, check_config, load_config, write_manifest
 from .metrics import (
     EpisodeRow,
     ProbeRow,
@@ -23,6 +23,7 @@ from .metrics import (
     read_csv,
     write_csv,
 )
+from .net import DETERMINISTIC
 from .seeding import STREAM_PROBE, substream
 from .svgchart import Series, emit_linechart
 from .train import (
@@ -52,6 +53,16 @@ def _seed_type(text: str) -> int:
     return value
 
 
+def _count_type(text: str) -> int:
+    try:
+        value = int(text, 10)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="punctrl",
@@ -63,9 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", help="config file; defaults reproduce the reference setup")
     p_train.add_argument("--agent", choices=AGENT_KINDS, help="exploration strategy")
     p_train.add_argument("--seed", type=_seed_type, help="base seed; rep k uses seed+k")
-    p_train.add_argument("--reps", type=int, help="number of seeded repetitions")
+    p_train.add_argument("--reps", type=_count_type, help="number of seeded repetitions")
     p_train.add_argument("--out", help="output directory")
-    p_train.add_argument("--jobs", type=int, help="parallel worker processes")
+    p_train.add_argument("--jobs", type=_count_type, help="parallel worker processes")
     p_train.add_argument("--checkpoint-every", type=int, dest="checkpoint_every",
                          help="checkpoint interval in episodes (0 = final only)")
     p_train.set_defaults(func=cmd_train)
@@ -81,9 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--checkpoints", required=True,
                          help="directory containing checkpoints and the run manifest")
     p_probe.add_argument("--mode", choices=("reaction", "adapt"), default="reaction")
-    p_probe.add_argument("--reps", type=int, default=10,
+    p_probe.add_argument("--reps", type=_count_type, default=10,
                          help="adaptation repetitions per checkpoint")
-    p_probe.add_argument("--cap", type=int, default=ADAPTATION_CAP,
+    p_probe.add_argument("--cap", type=_count_type, default=ADAPTATION_CAP,
                          help="give up after this many confrontations")
     p_probe.add_argument("--seed", type=_seed_type, default=0, help="probe sampling seed")
     p_probe.add_argument("--out", help="output CSV path (default: probes.csv in the run dir)")
@@ -112,6 +123,7 @@ def _resolved_config(args):
         cfg.jobs = args.jobs
     if getattr(args, "checkpoint_every", None) is not None:
         cfg.checkpoint_every = args.checkpoint_every
+    check_config(cfg)
     return cfg
 
 
@@ -199,8 +211,11 @@ def cmd_probe(args) -> int:
             train_cfg = as_train_config(cfg)
             train_cfg.agent = spec
             for rep in range(args.reps):
-                rng = substream(args.seed, f"{STREAM_PROBE}/{run_id}/{rep}")
-                steps = probe_adaptation(params, spec, train_cfg, rng, cap=args.cap)
+                # a deterministic head draws nothing that steers it at epsilon 0,
+                # so every rep replays rep 0 and gets its count
+                if rep == 0 or spec.head_mode != DETERMINISTIC:
+                    rng = substream(args.seed, f"{STREAM_PROBE}/{run_id}/{rep}")
+                    steps = probe_adaptation(params, spec, train_cfg, rng, cap=args.cap)
                 rows.append(ProbeRow(run_id, kind, rep, steps_until_explore=steps))
     out_path = args.out or os.path.join(root, "probes.csv")
     write_csv(rows, out_path, ProbeRow)

@@ -168,7 +168,7 @@ def load_config(path: str | None) -> CliConfig:
     """Resolve a config file over the built-in defaults; None means defaults."""
     cfg = default_config()
     if path is None:
-        _semantic_check(cfg, None, "")
+        check_config(cfg)
         return cfg
     try:
         with open(path, encoding="utf-8") as fh:
@@ -201,11 +201,12 @@ def load_config(path: str | None) -> CliConfig:
                     f"bad value for {key}: {exc}", path=path, line=_find_line(text, section, key)
                 )
             _set_path(cfg, dotted, value)
-    _semantic_check(cfg, path, text)
+    check_config(cfg, path, text)
     return cfg
 
 
-def _semantic_check(cfg: CliConfig, path, text: str) -> None:
+def check_config(cfg: CliConfig, path=None, text: str = "") -> None:
+    """Raise ConfigError for settings no run accepts, anchored to ``path`` if given."""
     try:
         as_train_config(cfg).validate()
         if cfg.reps < 1:

@@ -28,15 +28,35 @@ def head_output_dim(mode: str, n_actions: int) -> int:
     raise ValueError(f"unknown head mode {mode!r}")
 
 
+def _ptanh_from_tanh(t, out):
+    """out <- penalized tanh, given t = tanh of the pre-activation.
+
+    tanh keeps the sign of its argument, so max(t, slope * t) picks t on the
+    positive half-line and slope * t elsewhere.
+    """
+    np.multiply(t, PTANH_NEG_SLOPE, out=out)
+    np.maximum(t, out, out=out)
+    return out
+
+
+def _ptanh_grad_from_tanh(t, out, nonpos):
+    """out <- (1 - t^2) times the slope of the half-line t's pre-activation was on."""
+    np.multiply(t, t, out=out)
+    np.subtract(1.0, out, out=out)
+    np.less_equal(t, 0.0, out=nonpos)
+    np.multiply(out, PTANH_NEG_SLOPE, out=out, where=nonpos)
+    return out
+
+
 def penalized_tanh(x):
     """tanh with the negative half-line scaled down by PTANH_NEG_SLOPE."""
-    t = np.tanh(x)
-    return np.where(np.asarray(x) > 0.0, t, PTANH_NEG_SLOPE * t)
+    t = np.tanh(np.asarray(x, dtype=float))
+    return _ptanh_from_tanh(t, np.empty_like(t))
 
 
 def penalized_tanh_grad(x):
-    t = np.tanh(x)
-    return (1.0 - t * t) * np.where(np.asarray(x) > 0.0, 1.0, PTANH_NEG_SLOPE)
+    t = np.tanh(np.asarray(x, dtype=float))
+    return _ptanh_grad_from_tanh(t, np.empty_like(t), np.empty(t.shape, dtype=bool))
 
 
 class NetworkParams:
@@ -142,16 +162,11 @@ def _checked_input(params: NetworkParams, s) -> np.ndarray:
 
 
 def _hidden_layer(w, b, a, t, out) -> None:
-    """t <- tanh(a W^T + b), out <- penalized tanh of the same pre-activation.
-
-    tanh keeps the sign of its argument, so max(t, slope * t) picks t on the
-    positive half-line and slope * t elsewhere.
-    """
+    """t <- tanh(a W^T + b), out <- penalized tanh of the same pre-activation."""
     np.matmul(a, w.T, out=t)
     t += b
     np.tanh(t, out=t)
-    np.multiply(t, PTANH_NEG_SLOPE, out=out)
-    np.maximum(t, out, out=out)
+    _ptanh_from_tanh(t, out)
 
 
 class ForwardCache:
@@ -224,19 +239,16 @@ def backward(params: NetworkParams, cache: ForwardCache, grad_out: np.ndarray,
     grads = params.zeros_like() if out is None else out
     n_layers = len(params.weights)
     g = np.asarray(grad_out, dtype=float)
-    np.multiply(g[:, None], cache.acts[-1], out=grads.weights[-1])
+    # einsum fills an outer product faster than a broadcast multiply, with the
+    # same single product per element
+    np.einsum("i,j->ij", g, cache.acts[-1], out=grads.weights[-1])
     grads.biases[-1][:] = g
     if n_layers > 1:
         np.matmul(params.weights[-1].T, g, out=cache.delta[-1])
     for i in range(n_layers - 2, -1, -1):
-        g, t, dact = cache.delta[i], cache.tanhs[i], cache.dact[i]
-        # (1 - t^2) times the slope of the half-line the pre-activation was on
-        np.multiply(t, t, out=dact)
-        np.subtract(1.0, dact, out=dact)
-        np.less_equal(t, 0.0, out=cache.nonpos[i])
-        np.multiply(dact, PTANH_NEG_SLOPE, out=dact, where=cache.nonpos[i])
-        g *= dact
-        np.multiply(g[:, None], cache.acts[i], out=grads.weights[i])
+        g = cache.delta[i]
+        g *= _ptanh_grad_from_tanh(cache.tanhs[i], cache.dact[i], cache.nonpos[i])
+        np.einsum("i,j->ij", g, cache.acts[i], out=grads.weights[i])
         grads.biases[i][:] = g
         if i > 0:
             np.matmul(params.weights[i].T, g, out=cache.delta[i - 1])

@@ -366,10 +366,13 @@ def probe_adaptation(
     """Confront-train-repeat on the probe state until a puncture is chosen.
 
     Returns the confrontation count of the first puncturing decision, or
-    ``cap`` if the agent never explores. The networks start from a copy of
-    the snapshot with a fresh optimizer and target, so repetitions are
-    independent.
+    ``cap`` if the agent never explores; ``cap`` below 1 raises ValueError.
+    The networks start from a copy of the snapshot with a fresh optimizer
+    and target, so repetitions are independent. A deterministic head makes
+    no random choice at epsilon 0, so its count does not depend on ``rng``:
+    ``punctrl probe`` computes it once per checkpoint and repeats it.
     """
+    check_count("cap", cap, minimum=1)
     online = params.copy()
     pair = TargetPair(online, tau=cfg.target_tau)
     adam = Adam(online, cfg.learning_rate)

@@ -107,6 +107,19 @@ class TestCmdTrain:
         assert run("train", "--config", tiny_config, "--agent", "xx",
                    "--out", str(tmp_path / "x")) == 2
 
+    @pytest.mark.parametrize("flag", ["--reps", "--jobs"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_count_below_one_is_usage_error(self, tmp_path, tiny_config, flag, value):
+        out = tmp_path / "x"
+        assert run("train", "--config", tiny_config, flag, value, "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_bad_flag_override_writes_no_manifest(self, tmp_path, tiny_config):
+        out = tmp_path / "x"
+        assert run("train", "--config", tiny_config, "--checkpoint-every", "-1",
+                   "--out", str(out)) == 1
+        assert not out.exists()
+
     def test_bad_config_is_runtime_error(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[sim]\nnope = 1\n")
@@ -169,6 +182,33 @@ class TestCmdProbe:
         rows = read_csv(os.path.join(trained_dir, "probes.csv"), ProbeRow)
         assert len(rows) == 3
         assert all(1 <= r.steps_until_explore <= 10 for r in rows)
+
+    @pytest.mark.parametrize("kind", ["eg", "vb"])
+    def test_adapt_rows_equal_direct_probes(self, tmp_path, trained_dir, kind):
+        from punctrl.config import as_train_config
+        from punctrl.seeding import STREAM_PROBE, substream
+        from punctrl.train import load_checkpoint, probe_adaptation
+
+        run_dir = trained_dir if kind == "eg" else str(tmp_path / "run_vb")
+        assert run("probe", "--checkpoints", run_dir, "--mode", "adapt",
+                   "--reps", "4", "--cap", "30", "--seed", "6") == 0
+        rows = read_csv(os.path.join(run_dir, "probes.csv"), ProbeRow)
+        cfg = as_train_config(load_config(os.path.join(run_dir, "manifest.ini")))
+        params, _, _ = load_checkpoint(
+            os.path.join(run_dir, "checkpoints", f"{kind}-s1_final.ckpt"))
+        assert [r.repetition for r in rows] == [0, 1, 2, 3]
+        for row in rows:
+            rng = substream(6, f"{STREAM_PROBE}/{kind}-s1_final/{row.repetition}")
+            assert row.agent == kind
+            assert row.steps_until_explore == probe_adaptation(params, cfg.agent, cfg, rng,
+                                                               cap=30)
+
+    @pytest.mark.parametrize("flag", ["--cap", "--reps"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_count_below_one_is_usage_error(self, trained_dir, flag, value):
+        assert run("probe", "--checkpoints", trained_dir, "--mode", "adapt",
+                   flag, value) == 2
+        assert not os.path.exists(os.path.join(trained_dir, "probes.csv"))
 
     def test_default_cap_is_ten_thousand(self, trained_dir):
         import punctrl.cli as cli

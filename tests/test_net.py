@@ -44,6 +44,23 @@ class TestPenalizedTanh:
             assert penalized_tanh_grad(x) == pytest.approx(numeric, rel=1e-6)
 
 
+class TestActivationMatchesEngine:
+    """The exported helpers compute what forward_cached and backward run."""
+
+    @pytest.mark.parametrize("hidden", [(16,), (9, 7, 5)])
+    def test_helpers_equal_engine_arithmetic(self, hidden):
+        rng = np.random.default_rng(31)
+        params = NetworkParams.init(5, hidden, 4, rng)
+        cache = ForwardCache(params, (5,))
+        for _ in range(10):
+            forward_cached(params, rng.standard_normal(5) * 3.0, cache)
+            backward(params, cache, rng.standard_normal(4))
+            for i, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
+                pre = cache.acts[i] @ w.T + b
+                assert np.array_equal(cache.acts[i + 1], penalized_tanh(pre))
+                assert np.array_equal(cache.dact[i], penalized_tanh_grad(pre))
+
+
 class TestForward:
     def test_zero_params_give_zero_output(self):
         params = NetworkParams.zeros(5, (8, 8), 3)
@@ -169,6 +186,8 @@ class NaiveAdam:
 
 
 class TestEngineMatchesNaiveReference:
+    # (128, 128) has every layer kind of the reference network: 128x5 input,
+    # 128x128 hidden and 6x128 output weights
     @pytest.mark.parametrize("hidden", [(128, 128), (16,), (9, 7, 5)])
     def test_training_steps_bit_identical(self, hidden):
         rng = np.random.default_rng(23)

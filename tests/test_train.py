@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from punctrl.agents import AgentSpec
 from punctrl.net import NetworkParams
@@ -211,6 +213,27 @@ class TestProbeAdaptation:
         cfg = TrainConfig(agent=AgentSpec(kind="eg"), sim=sim_cfg)
         rng = np.random.default_rng(1)
         assert probe_adaptation(params, cfg.agent, cfg, rng, cap=25) == 25
+
+    def test_cap_below_one_rejected(self):
+        cfg = TrainConfig(agent=AgentSpec(kind="eg"))
+        params = NetworkParams.zeros(5, (4,), 3)
+        for cap in (0, -5):
+            with pytest.raises(ValueError, match="cap"):
+                probe_adaptation(params, cfg.agent, cfg, np.random.default_rng(0), cap=cap)
+
+    # zero weights with the wait bias ahead by `margin`: learning pulls the
+    # wait estimate down until a puncture wins, after 32 steps at margin 0.3
+    # and 110 at margin 1.0, which cap 50 cuts off
+    @pytest.mark.parametrize("margin, cap, expected", [(0.3, 200, 32), (1.0, 50, 50)])
+    @settings(max_examples=15, deadline=None)
+    @given(seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+    def test_eg_count_does_not_depend_on_rng(self, margin, cap, expected, seeds):
+        cfg = TrainConfig(agent=AgentSpec(kind="eg"), learning_rate=1e-2)
+        params = NetworkParams.zeros(5, (4,), 3)
+        params.biases[-1][:] = [margin, 0.0, 0.0]
+        counts = [probe_adaptation(params, cfg.agent, cfg, np.random.default_rng(seed), cap=cap)
+                  for seed in seeds]
+        assert counts == [expected, expected]
 
     def test_probe_transition_matches_simulator(self):
         # cross-module oracle: a manually prepared simulator state must yield
