@@ -26,6 +26,7 @@ AGENT_KINDS = (EG, VB, ME)
 
 SIGN_UNIFORM_PRIOR = "uniform_prior"
 SIGN_AS_WRITTEN = "as_written"
+ME_SIGNS = (SIGN_UNIFORM_PRIOR, SIGN_AS_WRITTEN)
 
 
 @dataclass
@@ -43,7 +44,7 @@ class AgentSpec:
 
     def validate(self) -> "AgentSpec":
         if self.kind not in AGENT_KINDS:
-            raise ValueError(f"agent kind must be one of {AGENT_KINDS}, got {self.kind!r}")
+            raise ValueError(f"kind must be one of {AGENT_KINDS}, got {self.kind!r}")
         check_probability("epsilon_initial", self.epsilon_initial)
         check_probability("epsilon_decay_fraction", self.epsilon_decay_fraction)
         check_probability("gamma", self.gamma)
@@ -51,8 +52,8 @@ class AgentSpec:
         check_finite("w_me", self.w_me)
         if not 0.0 < self.softmax_clip_low < 1.0:
             raise ValueError(f"softmax_clip_low must lie in (0, 1), got {self.softmax_clip_low}")
-        if self.me_sign not in (SIGN_UNIFORM_PRIOR, SIGN_AS_WRITTEN):
-            raise ValueError(f"unknown me_sign {self.me_sign!r}")
+        if self.me_sign not in ME_SIGNS:
+            raise ValueError(f"me_sign must be one of {ME_SIGNS}, got {self.me_sign!r}")
         return self
 
     @property

@@ -10,7 +10,7 @@ import glob
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .agents import AGENT_KINDS
 from .config import ConfigError, as_train_config, check_config, load_config, write_manifest
@@ -72,10 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run seeded training repetitions")
     p_train.add_argument("--config", help="config file; defaults reproduce the reference setup")
-    p_train.add_argument("--agent", choices=AGENT_KINDS, help="exploration strategy")
+    p_train.add_argument("--agent", dest="kind", choices=AGENT_KINDS,
+                         help="exploration strategy")
     p_train.add_argument("--seed", type=_seed_type, help="base seed; rep k uses seed+k")
     p_train.add_argument("--reps", type=_count_type, help="number of seeded repetitions")
-    p_train.add_argument("--out", help="output directory")
+    p_train.add_argument("--out", dest="out_dir", help="output directory")
     p_train.add_argument("--jobs", type=_count_type, help="parallel worker processes")
     p_train.add_argument("--checkpoint-every", type=int, dest="checkpoint_every",
                          help="checkpoint interval in episodes (0 = final only)")
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_base.add_argument("--config", help="config file")
     p_base.add_argument("--seed", type=_seed_type, help="seed")
     p_base.add_argument("--episodes", type=int, help="number of evaluation episodes")
-    p_base.add_argument("--out", help="output directory")
+    p_base.add_argument("--out", dest="out_dir", help="output directory")
     p_base.set_defaults(func=cmd_baseline)
 
     p_probe = sub.add_parser("probe", help="probe trained checkpoints with a critical event")
@@ -108,21 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolved_config(args):
+    """The config file's settings with the flags given on top; flag dests are field names."""
     cfg = load_config(args.config)
-    if getattr(args, "agent", None):
-        cfg.agent.kind = args.agent
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "reps", None) is not None:
-        cfg.reps = args.reps
-    if getattr(args, "episodes", None) is not None:
-        cfg.episodes = args.episodes
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    if getattr(args, "jobs", None) is not None:
-        cfg.jobs = args.jobs
-    if getattr(args, "checkpoint_every", None) is not None:
-        cfg.checkpoint_every = args.checkpoint_every
+    if getattr(args, "kind", None) is not None:
+        cfg.agent.kind = args.kind
+    for f in fields(cfg):
+        if getattr(args, f.name, None) is not None:
+            setattr(cfg, f.name, getattr(args, f.name))
     check_config(cfg)
     return cfg
 
@@ -161,7 +154,7 @@ def cmd_baseline(args) -> int:
     out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     write_manifest(cfg, os.path.join(out_dir, "manifest.ini"))
-    result = manual_baseline(as_train_config(cfg))
+    result = manual_baseline(cfg)
     write_csv(result.episodes, os.path.join(out_dir, "episodes.csv"), EpisodeRow)
     mean_reward = sum(r.sum_reward for r in result.episodes) / max(len(result.episodes), 1)
     print(f"{result.run_id}: {len(result.episodes)} episodes, mean sum reward {mean_reward:.2f}")
@@ -208,14 +201,12 @@ def cmd_probe(args) -> int:
                 )
             )
         else:
-            train_cfg = as_train_config(cfg)
-            train_cfg.agent = spec
             for rep in range(args.reps):
                 # a deterministic head draws nothing that steers it at epsilon 0,
                 # so every rep replays rep 0 and gets its count
                 if rep == 0 or spec.head_mode != DETERMINISTIC:
                     rng = substream(args.seed, f"{STREAM_PROBE}/{run_id}/{rep}")
-                    steps = probe_adaptation(params, spec, train_cfg, rng, cap=args.cap)
+                    steps = probe_adaptation(params, spec, cfg, rng, cap=args.cap)
                 rows.append(ProbeRow(run_id, kind, rep, steps_until_explore=steps))
     out_path = args.out or os.path.join(root, "probes.csv")
     write_csv(rows, out_path, ProbeRow)

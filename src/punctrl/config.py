@@ -5,15 +5,20 @@ an absent or empty config file reproduces that run exactly. Unknown
 sections or keys are rejected with the offending line number, and the
 manifest written next to each run's outputs is itself a valid config that
 reproduces the run bit-for-bit.
+
+The keys and their defaults are the fields of ``SimConfig`` ([sim]),
+``AgentSpec`` ([agent]) and ``TrainConfig`` ([train]), plus the run fields
+of ``CliConfig`` ([run]); this module restates none of them.
 """
 
 import configparser
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 
-from .agents import AGENT_KINDS, SIGN_AS_WRITTEN, SIGN_UNIFORM_PRIOR, AgentSpec
+from .agents import AgentSpec
 from .sim import SimConfig
 from .train import TrainConfig
+from .validation import check_count
 
 
 class ConfigError(Exception):
@@ -29,43 +34,24 @@ class ConfigError(Exception):
 
 
 @dataclass
-class CliConfig:
+class CliConfig(TrainConfig):
     """Fully resolved settings of one command invocation."""
 
-    sim: SimConfig = field(default_factory=SimConfig)
-    agent: AgentSpec = field(default_factory=AgentSpec)
-    episodes: int = 30
-    steps_per_episode: int = 3000
-    hidden_dims: tuple = (128, 128)
-    learning_rate: float = 1e-4
-    target_tau: float = 1e-4
-    checkpoint_every: int = 0
-    seed: int = 0
     reps: int = 1
     jobs: int = 1
     out_dir: str = "runs"
 
-
-def _parse_int(text: str) -> int:
-    return int(text, 10)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_str(text: str) -> str:
-    return text.strip()
+    def validate(self) -> "CliConfig":
+        super().validate()
+        check_count("reps", self.reps, minimum=1)
+        check_count("jobs", self.jobs, minimum=1)
+        if not self.out_dir:
+            raise ValueError("out_dir must name a directory, got an empty string")
+        return self
 
 
-def _parse_choice(choices):
-    def parse(text: str) -> str:
-        value = text.strip()
-        if value not in choices:
-            raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
-        return value
-
-    return parse
+# [run] keys; seed is a TrainConfig field but is set per invocation
+RUN_FIELDS = ("seed", "reps", "jobs", "out_dir")
 
 
 def _parse_dims(text: str) -> tuple:
@@ -78,6 +64,15 @@ def _parse_dims(text: str) -> tuple:
     return dims
 
 
+# field type -> parser of its config value; fields of other types (the agent
+# and sim holders, checkpoint_dir) are not config keys
+PARSERS = {int: int, float: float, str: str, tuple: _parse_dims}
+
+
+def _keys(cls) -> dict:
+    return {f.name: PARSERS[f.type] for f in fields(cls) if f.type in PARSERS}
+
+
 def _fmt_value(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
@@ -86,61 +81,18 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-# section -> key -> (attribute path, parser); order defines the manifest layout
+# section -> key -> parser; order defines the manifest layout
 SCHEMA = {
-    "sim": {
-        "n_resources": ("sim.n_resources", _parse_int),
-        "slots_per_subframe": ("sim.slots_per_subframe", _parse_int),
-        "p_occupy": ("sim.p_occupy", _parse_float),
-        "occupy_len_min": ("sim.occupy_len_min", _parse_int),
-        "occupy_len_max": ("sim.occupy_len_max", _parse_int),
-        "p_request": ("sim.p_request", _parse_float),
-        "p_critical": ("sim.p_critical", _parse_float),
-        "rayleigh_sigma": ("sim.rayleigh_sigma", _parse_float),
-        "w_capacity": ("sim.w_capacity", _parse_float),
-        "w_discard": ("sim.w_discard", _parse_float),
-        "w_discard_critical": ("sim.w_discard_critical", _parse_float),
-    },
-    "agent": {
-        "kind": ("agent.kind", _parse_choice(AGENT_KINDS)),
-        "epsilon_initial": ("agent.epsilon_initial", _parse_float),
-        "epsilon_decay_fraction": ("agent.epsilon_decay_fraction", _parse_float),
-        "w_lp": ("agent.w_lp", _parse_float),
-        "w_me": ("agent.w_me", _parse_float),
-        "softmax_clip_low": ("agent.softmax_clip_low", _parse_float),
-        "gamma": ("agent.gamma", _parse_float),
-        "me_sign": ("agent.me_sign", _parse_choice((SIGN_UNIFORM_PRIOR, SIGN_AS_WRITTEN))),
-    },
-    "train": {
-        "episodes": ("episodes", _parse_int),
-        "steps_per_episode": ("steps_per_episode", _parse_int),
-        "hidden_dims": ("hidden_dims", _parse_dims),
-        "learning_rate": ("learning_rate", _parse_float),
-        "target_tau": ("target_tau", _parse_float),
-        "checkpoint_every": ("checkpoint_every", _parse_int),
-    },
-    "run": {
-        "seed": ("seed", _parse_int),
-        "reps": ("reps", _parse_int),
-        "jobs": ("jobs", _parse_int),
-        "out_dir": ("out_dir", _parse_str),
-    },
+    "sim": _keys(SimConfig),
+    "agent": _keys(AgentSpec),
+    "train": {k: p for k, p in _keys(CliConfig).items() if k not in RUN_FIELDS},
+    "run": {k: _keys(CliConfig)[k] for k in RUN_FIELDS},
 }
 
 
-def _set_path(cfg: CliConfig, dotted: str, value) -> None:
-    if "." in dotted:
-        holder_name, attr = dotted.split(".", 1)
-        setattr(getattr(cfg, holder_name), attr, value)
-    else:
-        setattr(cfg, dotted, value)
-
-
-def _get_path(cfg: CliConfig, dotted: str):
-    if "." in dotted:
-        holder_name, attr = dotted.split(".", 1)
-        return getattr(getattr(cfg, holder_name), attr)
-    return getattr(cfg, dotted)
+def _holder(cfg: CliConfig, section: str):
+    """The object whose attributes are the keys of ``section``."""
+    return getattr(cfg, section) if section in ("sim", "agent") else cfg
 
 
 def _find_line(text: str, section: str | None, key: str | None) -> int | None:
@@ -160,13 +112,9 @@ def _find_line(text: str, section: str | None, key: str | None) -> int | None:
     return None
 
 
-def default_config() -> CliConfig:
-    return CliConfig()
-
-
 def load_config(path: str | None) -> CliConfig:
     """Resolve a config file over the built-in defaults; None means defaults."""
-    cfg = default_config()
+    cfg = CliConfig()
     if path is None:
         check_config(cfg)
         return cfg
@@ -193,14 +141,13 @@ def load_config(path: str | None) -> CliConfig:
                     path=path,
                     line=_find_line(text, section, key),
                 )
-            dotted, parse = SCHEMA[section][key]
             try:
-                value = parse(raw)
+                value = SCHEMA[section][key](raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for {key}: {exc}", path=path, line=_find_line(text, section, key)
                 )
-            _set_path(cfg, dotted, value)
+            setattr(_holder(cfg, section), key, value)
     check_config(cfg, path, text)
     return cfg
 
@@ -208,11 +155,7 @@ def load_config(path: str | None) -> CliConfig:
 def check_config(cfg: CliConfig, path=None, text: str = "") -> None:
     """Raise ConfigError for settings no run accepts, anchored to ``path`` if given."""
     try:
-        as_train_config(cfg).validate()
-        if cfg.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if cfg.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        cfg.validate()
     except ValueError as exc:
         message = str(exc)
         line = None
@@ -224,18 +167,8 @@ def check_config(cfg: CliConfig, path=None, text: str = "") -> None:
 
 def as_train_config(cfg: CliConfig, seed: int | None = None,
                     checkpoint_dir: str | None = None) -> TrainConfig:
-    return TrainConfig(
-        agent=cfg.agent,
-        sim=cfg.sim,
-        episodes=cfg.episodes,
-        steps_per_episode=cfg.steps_per_episode,
-        seed=cfg.seed if seed is None else seed,
-        hidden_dims=cfg.hidden_dims,
-        learning_rate=cfg.learning_rate,
-        target_tau=cfg.target_tau,
-        checkpoint_every=cfg.checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-    )
+    """The training settings of ``cfg``, for another seed if one is given."""
+    return replace(cfg, seed=cfg.seed if seed is None else seed, checkpoint_dir=checkpoint_dir)
 
 
 def config_text(cfg: CliConfig) -> str:
@@ -243,8 +176,9 @@ def config_text(cfg: CliConfig) -> str:
     out = io.StringIO()
     for section, keys in SCHEMA.items():
         out.write(f"[{section}]\n")
-        for key, (dotted, _) in keys.items():
-            out.write(f"{key} = {_fmt_value(_get_path(cfg, dotted))}\n")
+        holder = _holder(cfg, section)
+        for key in keys:
+            out.write(f"{key} = {_fmt_value(getattr(holder, key))}\n")
         out.write("\n")
     return out.getvalue()
 

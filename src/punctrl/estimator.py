@@ -7,7 +7,7 @@ clone and compose with that ecosystem without depending on it.
 """
 
 import inspect
-import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -19,6 +19,45 @@ from .validation import check_state_matrix
 
 # rows per batched forward pass in DqnScheduler.decision_function
 PREDICT_BLOCK_ROWS = 1024
+
+# TrainConfig holders whose fields are flat estimator parameters
+HOLDERS = {"agent": AgentSpec, "sim": SimConfig}
+
+
+def _param_name(holder: str, name: str) -> str:
+    # the agent kind is the parameter ``agent``, as ``--agent`` on the command line
+    return "agent" if (holder, name) == ("agent", "kind") else name
+
+
+def _derived_init(holders, learner: bool):
+    """An ``__init__`` taking the fields of ``holders`` and of TrainConfig as keywords.
+
+    Names and defaults are those of the dataclass fields. TrainConfig fields
+    marked as learner-only are left out unless ``learner`` is true.
+    """
+    keyword = inspect.Parameter.KEYWORD_ONLY
+    params = [
+        inspect.Parameter(_param_name(holder, f.name), keyword, default=f.default)
+        for holder in holders
+        for f in fields(HOLDERS[holder])
+    ] + [
+        inspect.Parameter(f.name, keyword, default=f.default)
+        for f in fields(TrainConfig)
+        if f.name not in HOLDERS and (learner or not f.metadata.get("learner"))
+    ]
+    signature = inspect.Signature(
+        [inspect.Parameter("self", inspect.Parameter.POSITIONAL_ONLY), *params]
+    )
+
+    def __init__(self, **params):
+        bound = signature.bind(self, **params)
+        bound.apply_defaults()
+        for name, value in bound.arguments.items():
+            if name != "self":
+                setattr(self, name, value)
+
+    __init__.__signature__ = signature
+    return __init__
 
 
 class ParamsProtocolMixin:
@@ -40,107 +79,28 @@ class ParamsProtocolMixin:
             setattr(self, name, value)
         return self
 
+    def _train_config(self) -> TrainConfig:
+        """The TrainConfig these parameters describe."""
+        params = self.get_params()
+        for holder in self._holders:
+            cls = HOLDERS[holder]
+            params[holder] = cls(**{f.name: params.pop(_param_name(holder, f.name))
+                                    for f in fields(cls)})
+        return TrainConfig(**params)
+
 
 class DqnScheduler(ParamsProtocolMixin):
     """Puncturing policy learned by a deep Q-network.
 
     fit() generates its own experience by interacting with the seeded
     simulator, so X and y are ignored. predict() maps state vectors to
-    greedy actions (0 = wait, k = puncture resource k-1).
+    greedy actions (0 = wait, k = puncture resource k-1). The parameters are
+    the [sim], [agent] and [train] config keys, ``seed`` and
+    ``checkpoint_dir``; the agent kind is ``agent``.
     """
 
-    def __init__(
-        self,
-        agent: str = EG,
-        episodes: int = 30,
-        steps_per_episode: int = 3000,
-        seed: int = 0,
-        hidden_dims: tuple = (128, 128),
-        learning_rate: float = 1e-4,
-        target_tau: float = 1e-4,
-        gamma: float = 0.99,
-        epsilon_initial: float = 0.99,
-        epsilon_decay_fraction: float = 0.5,
-        w_lp: float = 1e-2,
-        w_me: float = math.e,
-        softmax_clip_low: float = 1e-3,
-        me_sign: str = "uniform_prior",
-        n_resources: int = 2,
-        slots_per_subframe: int = 7,
-        p_occupy: float = 0.7,
-        p_request: float = 0.1,
-        p_critical: float = 0.0,
-        rayleigh_sigma: float = 1.0,
-        w_capacity: float = 1.0,
-        w_discard: float = 5.0,
-        w_discard_critical: float = 5.0,
-        checkpoint_every: int = 0,
-        checkpoint_dir: str | None = None,
-    ):
-        self.agent = agent
-        self.episodes = episodes
-        self.steps_per_episode = steps_per_episode
-        self.seed = seed
-        self.hidden_dims = hidden_dims
-        self.learning_rate = learning_rate
-        self.target_tau = target_tau
-        self.gamma = gamma
-        self.epsilon_initial = epsilon_initial
-        self.epsilon_decay_fraction = epsilon_decay_fraction
-        self.w_lp = w_lp
-        self.w_me = w_me
-        self.softmax_clip_low = softmax_clip_low
-        self.me_sign = me_sign
-        self.n_resources = n_resources
-        self.slots_per_subframe = slots_per_subframe
-        self.p_occupy = p_occupy
-        self.p_request = p_request
-        self.p_critical = p_critical
-        self.rayleigh_sigma = rayleigh_sigma
-        self.w_capacity = w_capacity
-        self.w_discard = w_discard
-        self.w_discard_critical = w_discard_critical
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_dir = checkpoint_dir
-
-    def _agent_spec(self) -> AgentSpec:
-        return AgentSpec(
-            kind=self.agent,
-            epsilon_initial=self.epsilon_initial,
-            epsilon_decay_fraction=self.epsilon_decay_fraction,
-            w_lp=self.w_lp,
-            w_me=self.w_me,
-            softmax_clip_low=self.softmax_clip_low,
-            gamma=self.gamma,
-            me_sign=self.me_sign,
-        )
-
-    def _sim_config(self) -> SimConfig:
-        return SimConfig(
-            n_resources=self.n_resources,
-            slots_per_subframe=self.slots_per_subframe,
-            p_occupy=self.p_occupy,
-            p_request=self.p_request,
-            p_critical=self.p_critical,
-            rayleigh_sigma=self.rayleigh_sigma,
-            w_capacity=self.w_capacity,
-            w_discard=self.w_discard,
-            w_discard_critical=self.w_discard_critical,
-        )
-
-    def _train_config(self) -> TrainConfig:
-        return TrainConfig(
-            agent=self._agent_spec(),
-            sim=self._sim_config(),
-            episodes=self.episodes,
-            steps_per_episode=self.steps_per_episode,
-            seed=self.seed,
-            hidden_dims=tuple(self.hidden_dims),
-            learning_rate=self.learning_rate,
-            target_tau=self.target_tau,
-            checkpoint_every=self.checkpoint_every,
-            checkpoint_dir=self.checkpoint_dir,
-        )
+    _holders = ("agent", "sim")
+    __init__ = _derived_init(_holders, learner=True)
 
     def fit(self, X=None, y=None) -> "DqnScheduler":
         """Train on self-generated experience; X and y are ignored."""
@@ -181,58 +141,16 @@ class ManualScheduler(ParamsProtocolMixin):
     """Fixed scheduling heuristic exposed through the same interface.
 
     predict() works without fitting; fit() evaluates the heuristic on the
-    seeded simulator to populate history_ for comparison plots.
+    seeded simulator to populate history_ for comparison plots. The
+    parameters are the [sim] config keys, ``episodes``,
+    ``steps_per_episode`` and ``seed``.
     """
 
-    def __init__(
-        self,
-        episodes: int = 30,
-        steps_per_episode: int = 3000,
-        seed: int = 0,
-        n_resources: int = 2,
-        slots_per_subframe: int = 7,
-        p_occupy: float = 0.7,
-        p_request: float = 0.1,
-        p_critical: float = 0.0,
-        rayleigh_sigma: float = 1.0,
-        w_capacity: float = 1.0,
-        w_discard: float = 5.0,
-        w_discard_critical: float = 5.0,
-    ):
-        self.episodes = episodes
-        self.steps_per_episode = steps_per_episode
-        self.seed = seed
-        self.n_resources = n_resources
-        self.slots_per_subframe = slots_per_subframe
-        self.p_occupy = p_occupy
-        self.p_request = p_request
-        self.p_critical = p_critical
-        self.rayleigh_sigma = rayleigh_sigma
-        self.w_capacity = w_capacity
-        self.w_discard = w_discard
-        self.w_discard_critical = w_discard_critical
-
-    def _sim_config(self) -> SimConfig:
-        return SimConfig(
-            n_resources=self.n_resources,
-            slots_per_subframe=self.slots_per_subframe,
-            p_occupy=self.p_occupy,
-            p_request=self.p_request,
-            p_critical=self.p_critical,
-            rayleigh_sigma=self.rayleigh_sigma,
-            w_capacity=self.w_capacity,
-            w_discard=self.w_discard,
-            w_discard_critical=self.w_discard_critical,
-        )
+    _holders = ("sim",)
+    __init__ = _derived_init(_holders, learner=False)
 
     def fit(self, X=None, y=None) -> "ManualScheduler":
-        cfg = TrainConfig(
-            sim=self._sim_config(),
-            episodes=self.episodes,
-            steps_per_episode=self.steps_per_episode,
-            seed=self.seed,
-        )
-        result = manual_baseline(cfg)
+        result = manual_baseline(self._train_config())
         self.history_ = result.episodes
         self.run_id_ = result.run_id
         return self
@@ -249,7 +167,6 @@ class ManualScheduler(ParamsProtocolMixin):
                 kind = RequestKind.CRITICAL
             else:
                 kind = RequestKind.NORMAL
-            slot_index = round(float(s[0]) * (slots - 1))
             remaining = [round(float(v) * slots) for v in s[3:]]
-            actions[i] = manual_action(slot_index, slots, remaining, kind)
+            actions[i] = manual_action(remaining, kind)
         return actions

@@ -51,8 +51,8 @@ class SimConfig:
         check_count("occupy_len_min", self.occupy_len_min, minimum=0)
         if not self.occupy_len_min <= self.occupy_len_max <= self.slots_per_subframe:
             raise ValueError(
-                "need occupy_len_min <= occupy_len_max <= slots_per_subframe, got "
-                f"{self.occupy_len_min}, {self.occupy_len_max}, {self.slots_per_subframe}"
+                "occupy_len_max must lie in [occupy_len_min, slots_per_subframe] = "
+                f"[{self.occupy_len_min}, {self.slots_per_subframe}], got {self.occupy_len_max}"
             )
         check_positive("rayleigh_sigma", self.rayleigh_sigma)
         for name in ("w_capacity", "w_discard", "w_discard_critical"):

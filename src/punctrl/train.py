@@ -43,7 +43,6 @@ from .seeding import STREAM_ACTION, STREAM_ENV, STREAM_NET_INIT, check_seed, sub
 from .sim import PuncturingSim, RequestKind, SimConfig
 from .validation import check_count, check_positive
 
-DEFAULT_HIDDEN_DIMS = (128, 128)
 PROBE_GAIN = 2.0  # the mean of the Rayleigh-squared gain distribution
 ADAPTATION_CAP = 10000
 
@@ -52,18 +51,25 @@ class TrainingDiverged(RuntimeError):
     """Raised when parameters or the loss stop being finite."""
 
 
+def _learner(default):
+    """A TrainConfig field that only a learning agent reads, not the manual baseline."""
+    return field(default=default, metadata={"learner": True})
+
+
 @dataclass
 class TrainConfig:
+    """Settings of one run; the only place their defaults are written."""
+
     agent: AgentSpec = field(default_factory=AgentSpec)
     sim: SimConfig = field(default_factory=SimConfig)
     episodes: int = 30
     steps_per_episode: int = 3000
     seed: int = 0
-    hidden_dims: tuple = DEFAULT_HIDDEN_DIMS
-    learning_rate: float = 1e-4
-    target_tau: float = 1e-4
-    checkpoint_every: int = 0
-    checkpoint_dir: str | None = None
+    hidden_dims: tuple = _learner((128, 128))
+    learning_rate: float = _learner(1e-4)
+    target_tau: float = _learner(1e-4)
+    checkpoint_every: int = _learner(0)
+    checkpoint_dir: str | None = _learner(None)
 
     def validate(self) -> "TrainConfig":
         self.agent.validate()
@@ -77,15 +83,17 @@ class TrainConfig:
         if not self.hidden_dims:
             raise ValueError("hidden_dims must name at least one hidden layer")
         for width in self.hidden_dims:
-            check_count("hidden layer width", width, minimum=1)
+            check_count("hidden_dims width", width, minimum=1)
         return self
 
     @property
     def total_decay_steps(self) -> int:
         return int(self.agent.epsilon_decay_fraction * self.episodes * self.steps_per_episode)
 
-    def run_id(self) -> str:
-        return f"{self.agent.kind}-s{self.seed}"
+
+def format_run_id(kind: str, seed: int) -> str:
+    """Name of one run in episode rows and checkpoint file names."""
+    return f"{kind}-s{seed}"
 
 
 @dataclass
@@ -171,8 +179,8 @@ def _loss_for_check(params, target_params, s, s_next, tr, spec, noise) -> float:
     return loss
 
 
-def _episode_row(cfg: TrainConfig, env: PuncturingSim, episode: int, sum_reward: float,
-                 epsilon_end: float, agent_kind: str | None = None) -> EpisodeRow:
+def _episode_row(kind: str, seed: int, env: PuncturingSim, episode: int, sum_reward: float,
+                 epsilon_end: float) -> EpisodeRow:
     c = env.counters
     # a request still pending at truncation is neither served nor missed;
     # ratios are over resolved requests so missed + scheduled = arrived
@@ -180,11 +188,10 @@ def _episode_row(cfg: TrainConfig, env: PuncturingSim, episode: int, sum_reward:
     arrived_critical = c.arrived_critical - (
         1 if env.request.kind is RequestKind.CRITICAL else 0
     )
-    kind = agent_kind if agent_kind is not None else cfg.agent.kind
     return EpisodeRow(
-        run_id=f"{kind}-s{cfg.seed}",
+        run_id=format_run_id(kind, seed),
         agent=kind,
-        seed=cfg.seed,
+        seed=seed,
         episode=episode,
         sum_reward=sum_reward,
         tx_interrupted_ratio=c.tx_interrupted / max(c.tx_started, 1),
@@ -200,6 +207,7 @@ def train(cfg: TrainConfig, initial_params: NetworkParams | None = None) -> RunR
     """Run the online training protocol and return per-episode metrics."""
     cfg.validate()
     spec = cfg.agent
+    run_id = format_run_id(spec.kind, cfg.seed)
     env = PuncturingSim(cfg.sim, substream(cfg.seed, STREAM_ENV))
     action_rng = substream(cfg.seed, STREAM_ACTION)
     if initial_params is None:
@@ -234,37 +242,39 @@ def train(cfg: TrainConfig, initial_params: NetworkParams | None = None) -> RunR
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at episode {episode}, step {global_step} "
-                    f"({cfg.run_id()})"
+                    f"({run_id})"
                 )
             sum_reward += reward.r_total
             obs = obs_next
             global_step += 1
         if not online.all_finite():
             raise TrainingDiverged(
-                f"non-finite parameters after episode {episode} ({cfg.run_id()})"
+                f"non-finite parameters after episode {episode} ({run_id})"
             )
-        rows.append(_episode_row(cfg, env, episode, sum_reward, epsilon if is_eg else 0.0))
+        rows.append(
+            _episode_row(spec.kind, cfg.seed, env, episode, sum_reward, epsilon if is_eg else 0.0)
+        )
         if (
             cfg.checkpoint_dir
             and cfg.checkpoint_every > 0
             and episode % cfg.checkpoint_every == 0
             and episode < cfg.episodes
         ):
-            path = os.path.join(cfg.checkpoint_dir, f"{cfg.run_id()}_ep{episode:03d}.ckpt")
+            path = os.path.join(cfg.checkpoint_dir, f"{run_id}_ep{episode:03d}.ckpt")
             save_checkpoint(path, online, spec.kind, global_step)
             checkpoints.append(path)
 
     if cfg.checkpoint_dir:
-        path = os.path.join(cfg.checkpoint_dir, f"{cfg.run_id()}_final.ckpt")
+        path = os.path.join(cfg.checkpoint_dir, f"{run_id}_final.ckpt")
         save_checkpoint(path, online, spec.kind, global_step)
         checkpoints.append(path)
-    return RunResult(cfg.run_id(), spec.kind, cfg.seed, rows, online, global_step, checkpoints)
+    return RunResult(run_id, spec.kind, cfg.seed, rows, online, global_step, checkpoints)
 
 
 MANUAL = "manual"
 
 
-def manual_action(slot_index: int, slots_per_subframe: int, remaining, kind: RequestKind) -> int:
+def manual_action(remaining, kind: RequestKind) -> int:
     """Deterministic scheduling heuristic used as the non-learned baseline.
 
     Catch-focused: any pending request, normal or critical, is scheduled
@@ -287,17 +297,12 @@ def manual_baseline(cfg: TrainConfig) -> RunResult:
         env.reset()
         sum_reward = 0.0
         for _ in range(cfg.steps_per_episode):
-            action = manual_action(
-                env.slot_index,
-                cfg.sim.slots_per_subframe,
-                [res.remaining_slots for res in env.resources],
-                env.request.kind,
-            )
+            action = manual_action([res.remaining_slots for res in env.resources], env.request.kind)
             _, reward, _ = env.step(action)
             sum_reward += reward.r_total
             total_steps += 1
-        rows.append(_episode_row(cfg, env, episode, sum_reward, 0.0, agent_kind=MANUAL))
-    return RunResult(f"{MANUAL}-s{cfg.seed}", MANUAL, cfg.seed, rows, None, total_steps)
+        rows.append(_episode_row(MANUAL, cfg.seed, env, episode, sum_reward, 0.0))
+    return RunResult(format_run_id(MANUAL, cfg.seed), MANUAL, cfg.seed, rows, None, total_steps)
 
 
 def make_probe_state(sim_cfg: SimConfig) -> np.ndarray:

@@ -88,11 +88,18 @@ class TestCriterion1AdaptationOrdering:
             spec = AgentSpec(kind=kind)
             steps = []
             for result in runs[kind]:
-                for rep in range(ADAPT_REPS):
-                    rng = substream(0, f"probe/{result.run_id}/{rep}")
-                    steps.append(
-                        probe_adaptation(result.final_params, spec, cfg, rng, cap=CAP)
-                    )
+                # the eg head makes no random choice at epsilon 0: rep 0's count
+                # holds for every rep, cross-checked on one other substream
+                reps = (0, ADAPT_REPS - 1) if kind == EG else range(ADAPT_REPS)
+                counts = [
+                    probe_adaptation(result.final_params, spec, cfg,
+                                     substream(0, f"probe/{result.run_id}/{rep}"), cap=CAP)
+                    for rep in reps
+                ]
+                if kind == EG:
+                    assert counts[0] == counts[1], f"eg probe depends on its rng: {counts}"
+                    counts = counts[:1] * ADAPT_REPS
+                steps.extend(counts)
             means[kind] = float(np.mean(steps))
             capped[kind] = sum(1 for s in steps if s == CAP) / len(steps)
         eg_slow = means[EG] >= 1500 or capped[EG] >= 0.5

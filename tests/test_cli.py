@@ -1,10 +1,14 @@
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from punctrl.agents import AGENT_KINDS, ME_SIGNS, AgentSpec
 from punctrl.cli import main
-from punctrl.config import ConfigError, load_config
+from punctrl.config import CliConfig, ConfigError, config_text, load_config
 from punctrl.metrics import EpisodeRow, ProbeRow, read_csv
+from punctrl.sim import SimConfig
 
 TINY = """
 [sim]
@@ -15,6 +19,94 @@ episodes = 2
 steps_per_episode = 40
 hidden_dims = 8,8
 """
+
+
+DEFAULT_MANIFEST = """\
+[sim]
+n_resources = 2
+slots_per_subframe = 7
+p_occupy = 0.69999999999999996
+occupy_len_min = 5
+occupy_len_max = 7
+p_request = 0.10000000000000001
+p_critical = 0
+rayleigh_sigma = 1
+w_capacity = 1
+w_discard = 5
+w_discard_critical = 5
+
+[agent]
+kind = eg
+epsilon_initial = 0.98999999999999999
+epsilon_decay_fraction = 0.5
+w_lp = 0.01
+w_me = 2.7182818284590451
+softmax_clip_low = 0.001
+gamma = 0.98999999999999999
+me_sign = uniform_prior
+
+[train]
+episodes = 30
+steps_per_episode = 3000
+hidden_dims = 128,128
+learning_rate = 0.0001
+target_tau = 0.0001
+checkpoint_every = 0
+
+[run]
+seed = 0
+reps = 1
+jobs = 1
+out_dir = runs
+
+"""
+
+probability = st.floats(0.0, 1.0)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    slots = draw(st.integers(1, 20))
+    len_max = draw(st.integers(0, slots))
+    sim = SimConfig(
+        n_resources=draw(st.integers(1, 8)),
+        slots_per_subframe=slots,
+        p_occupy=draw(probability),
+        occupy_len_min=draw(st.integers(0, len_max)),
+        occupy_len_max=len_max,
+        p_request=draw(probability),
+        p_critical=draw(probability),
+        rayleigh_sigma=draw(positive),
+        w_capacity=draw(finite),
+        w_discard=draw(finite),
+        w_discard_critical=draw(finite),
+    )
+    agent = AgentSpec(
+        kind=draw(st.sampled_from(AGENT_KINDS)),
+        epsilon_initial=draw(probability),
+        epsilon_decay_fraction=draw(probability),
+        w_lp=draw(finite),
+        w_me=draw(finite),
+        softmax_clip_low=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        gamma=draw(probability),
+        me_sign=draw(st.sampled_from(ME_SIGNS)),
+    )
+    return CliConfig(
+        sim=sim,
+        agent=agent,
+        episodes=draw(st.integers(0, 10**6)),
+        steps_per_episode=draw(st.integers(1, 10**6)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        hidden_dims=tuple(draw(st.lists(st.integers(1, 4096), min_size=1, max_size=4))),
+        learning_rate=draw(positive),
+        target_tau=draw(positive),
+        checkpoint_every=draw(st.integers(0, 100)),
+        reps=draw(st.integers(1, 64)),
+        jobs=draw(st.integers(1, 64)),
+        out_dir=draw(st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)),
+    )
 
 
 @pytest.fixture
@@ -63,6 +155,37 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             load_config(str(path))
         assert "p_occupy" in str(err.value) and ":2:" in str(err.value)
+
+    @pytest.mark.parametrize("text, line, key", [
+        ("[train]\nepisodes = 2\nhidden_dims = 8,0\n", 3, "hidden_dims"),
+        ("[sim]\noccupy_len_min = 6\noccupy_len_max = 5\n", 3, "occupy_len_max"),
+        ("[run]\nseed = 1\n\n[agent]\nkind = xx\n", 5, "kind"),
+        ("[agent]\nme_sign = yy\n", 2, "me_sign"),
+        ("[train]\nepisodes = 2\n\n[run]\nreps = 0\n", 5, "reps"),
+        ("[run]\nseed = 2\nout_dir =\n", 3, "out_dir"),
+    ])
+    def test_bad_value_anchored_to_its_line(self, tmp_path, text, line, key):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert f"{path}:{line}:" in str(err.value)
+        assert key in str(err.value)
+
+    def test_default_manifest_text(self):
+        # key order and float formatting are part of the manifest format
+        assert config_text(load_config(None)) == DEFAULT_MANIFEST
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=valid_configs())
+    def test_any_valid_config_round_trips(self, tmp_path, cfg):
+        text = config_text(cfg)
+        path = tmp_path / "manifest.ini"
+        path.write_text(text)
+        again = load_config(str(path))
+        assert again == cfg
+        assert config_text(again) == text
 
     def test_manifest_round_trips(self, tmp_path, tiny_config):
         from punctrl.config import write_manifest
@@ -119,6 +242,12 @@ class TestCmdTrain:
         assert run("train", "--config", tiny_config, "--checkpoint-every", "-1",
                    "--out", str(out)) == 1
         assert not out.exists()
+
+    def test_empty_out_flag_is_rejected(self, tmp_path, tiny_config, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("train", "--config", tiny_config, "--out", "") == 1
+        assert "out_dir" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_bad_config_is_runtime_error(self, tmp_path):
         bad = tmp_path / "bad.ini"

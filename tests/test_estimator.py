@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from punctrl.config import SCHEMA, load_config
 from punctrl.estimator import PREDICT_BLOCK_ROWS, DqnScheduler, ManualScheduler
 from punctrl.net import forward
+from punctrl.sim import SimConfig
+from punctrl.train import TrainConfig, manual_baseline
 
 
 def tiny_scheduler(**overrides):
@@ -26,6 +29,28 @@ class TestParamsProtocol:
     def test_set_params_rejects_unknown(self):
         with pytest.raises(ValueError):
             tiny_scheduler().set_params(nonsense=1)
+
+    @pytest.mark.parametrize("cls", [DqnScheduler, ManualScheduler])
+    def test_unknown_constructor_keyword_raises(self, cls):
+        with pytest.raises(TypeError):
+            cls(nonsense=1)
+
+    def test_parameters_are_the_config_keys(self):
+        cfg = load_config(None)
+        keys = {**SCHEMA["sim"], **SCHEMA["agent"], **SCHEMA["train"]}
+        dqn = DqnScheduler().get_params()
+        assert set(dqn) == (set(keys) - {"kind"}) | {"agent", "seed", "checkpoint_dir"}
+        assert dqn["agent"] == cfg.agent.kind
+        assert dqn["checkpoint_dir"] is None
+        for key in SCHEMA["sim"]:
+            assert dqn[key] == getattr(cfg.sim, key)
+        for key in set(SCHEMA["agent"]) - {"kind"}:
+            assert dqn[key] == getattr(cfg.agent, key)
+        for key in [*SCHEMA["train"], "seed"]:
+            assert dqn[key] == getattr(cfg, key)
+        manual = ManualScheduler().get_params()
+        assert set(manual) == set(SCHEMA["sim"]) | {"episodes", "steps_per_episode", "seed"}
+        assert all(manual[key] == dqn[key] for key in manual)
 
     def test_sklearn_clone_compatible(self):
         # sklearn.clone() reconstructs from get_params(); emulate it
@@ -117,6 +142,14 @@ class TestManualScheduler:
         assert len(est.history_) == 2
         assert est.run_id_ == "manual-s3"
         assert all(r.urllc_missed_ratio == 0.0 for r in est.history_)
+
+    def test_fit_uses_occupation_lengths(self):
+        est = ManualScheduler(episodes=2, steps_per_episode=50, seed=3,
+                              occupy_len_min=1, occupy_len_max=2).fit()
+        sim = SimConfig(occupy_len_min=1, occupy_len_max=2)
+        expected = manual_baseline(TrainConfig(sim=sim, episodes=2, steps_per_episode=50, seed=3))
+        assert est.history_ == expected.episodes
+        assert est.history_ != ManualScheduler(episodes=2, steps_per_episode=50, seed=3).fit().history_
 
     def test_get_params_protocol(self):
         est = ManualScheduler(p_occupy=0.5)

@@ -116,22 +116,22 @@ class TestTrain:
 
 class TestManualPolicy:
     def test_critical_targets_least_loaded(self):
-        assert manual_action(2, 7, [3, 6], RequestKind.CRITICAL) == 1
-        assert manual_action(2, 7, [6, 3], RequestKind.CRITICAL) == 2
-        assert manual_action(0, 7, [0, 5], RequestKind.CRITICAL) == 1
+        assert manual_action([3, 6], RequestKind.CRITICAL) == 1
+        assert manual_action([6, 3], RequestKind.CRITICAL) == 2
+        assert manual_action([0, 5], RequestKind.CRITICAL) == 1
 
     def test_normal_scheduled_immediately(self):
         # catch-focused: free resource preferred, else the lighter one is cut
-        assert manual_action(0, 7, [0, 5], RequestKind.NORMAL) == 1
-        assert manual_action(0, 7, [5, 0], RequestKind.NORMAL) == 2
-        assert manual_action(0, 7, [5, 7], RequestKind.NORMAL) == 1
-        assert manual_action(6, 7, [2, 4], RequestKind.NORMAL) == 1
+        assert manual_action([0, 5], RequestKind.NORMAL) == 1
+        assert manual_action([5, 0], RequestKind.NORMAL) == 2
+        assert manual_action([5, 7], RequestKind.NORMAL) == 1
+        assert manual_action([2, 4], RequestKind.NORMAL) == 1
 
     def test_no_request_waits(self):
-        assert manual_action(3, 7, [4, 2], RequestKind.NONE) == 0
+        assert manual_action([4, 2], RequestKind.NONE) == 0
 
     def test_tie_breaks_to_lowest_index(self):
-        assert manual_action(1, 7, [4, 4], RequestKind.CRITICAL) == 1
+        assert manual_action([4, 4], RequestKind.CRITICAL) == 1
 
 
 class TestManualBaseline:
