@@ -1,4 +1,4 @@
-"""Exploration strategies: action selection and per-transition loss assembly.
+"""Exploration strategies: action selection and the terms of the per-transition loss.
 
 Three agent kinds share the one-step temporal-difference objective and
 differ in how they explore:
@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import DETERMINISTIC, GAUSSIAN, reparameterize, sample_gaussian_head, split_gaussian
+from .net import (
+    DETERMINISTIC,
+    GAUSSIAN,
+    gaussian_log_density,
+    sample_gaussian_head,
+    split_gaussian,
+)
 from .validation import check_finite, check_probability
 
 EG = "eg"
@@ -70,20 +76,6 @@ class Transition:
     terminal: bool = False
 
 
-@dataclass
-class ActionChoice:
-    """Selected action plus the per-action estimates that justified it.
-
-    ``q`` is the deterministic output for ``eg`` and the sampled estimates
-    for the stochastic heads; ``noise`` holds the standard-normal draw of
-    the reparameterization (None for ``eg``).
-    """
-
-    action: int
-    q: np.ndarray
-    noise: np.ndarray | None = None
-
-
 def epsilon_at(step: int, total_decay_steps: int, spec: AgentSpec) -> float:
     """Linear decay from epsilon_initial to exactly 0 at total_decay_steps."""
     if total_decay_steps <= 0:
@@ -96,23 +88,22 @@ def select_action(
     head_out: np.ndarray,
     rng: np.random.Generator,
     epsilon: float = 0.0,
-) -> ActionChoice:
-    """Pick an action from the raw head output.
+) -> tuple[int, np.ndarray | None]:
+    """Pick an action from the raw head output; returns (action, noise).
 
-    eg: epsilon-uniform, otherwise greedy on the deterministic estimates.
-    vb/me: sample every action's estimate through the Gaussian head and act
-    greedily on the sample; the sampling itself is the exploration.
+    eg: epsilon-uniform, otherwise greedy on the deterministic estimates;
+    noise is None. vb/me: sample every action's estimate through the
+    Gaussian head and act greedily on the sample; the sampling itself is the
+    exploration, and noise is the standard-normal draw the loss replays.
     """
     if spec.kind == EG:
         q = np.asarray(head_out, dtype=float)
         if rng.random() < epsilon:
-            action = int(rng.integers(0, q.shape[0]))
-        else:
-            action = int(np.argmax(q))
-        return ActionChoice(action, q, None)
+            return int(rng.integers(0, q.shape[0])), None
+        return int(np.argmax(q)), None
     mu, log_sigma = split_gaussian(np.asarray(head_out, dtype=float))
     q, noise = sample_gaussian_head(mu, log_sigma, rng)
-    return ActionChoice(int(np.argmax(q)), q, noise)
+    return int(np.argmax(q)), noise
 
 
 def td_components(
@@ -138,46 +129,31 @@ def loss_eg(prediction: float, bootstrap_target: float) -> tuple[float, float]:
     return diff * diff, 2.0 * diff
 
 
-def loss_vb(
-    prediction: float,
-    bootstrap_target: float,
-    action: int,
-    mu: np.ndarray,
-    log_sigma: np.ndarray,
-    noise: np.ndarray,
-    spec: AgentSpec,
-):
-    """TD loss plus the weighted sum of sampled log probability densities.
+def loss_vb(spec: AgentSpec, q, mu, log_sigma, sigma, noise):
+    """Weighted sum of the log densities of the sampled q = mu + sigma * noise.
 
-    Returns (loss, grad_mu, grad_log_sigma). The density term's gradient is
-    assembled through the full chain rule: its direct (mu, log_sigma)
-    arguments plus the reparameterization path of the sampled q. At
-    q = mu + sigma * noise those contributions cancel to exactly 0 for mu
-    and -1 for log_sigma, which is what keeps the variance from collapsing.
+    Returns (loss, grad_mu, grad_log_sigma) of this regularizer alone. The
+    gradient goes through the full chain rule: the density's direct (mu,
+    log_sigma) arguments plus the reparameterization path of q. At the
+    sample those contributions cancel to exactly 0 for mu and -1 for
+    log_sigma, which is what keeps the variance from collapsing.
     """
-    sigma = np.exp(log_sigma)
-    q = reparameterize(mu, log_sigma, noise)
-    diff = prediction - bootstrap_target
-    loss_td = diff * diff
-
+    loss = spec.w_lp * float(np.sum(gaussian_log_density(q, mu, log_sigma)))
     dev = q - mu
     inv_var = np.exp(-2.0 * log_sigma)
-    log_dens = -log_sigma - 0.5 * math.log(2.0 * math.pi) - dev * dev * inv_var / 2.0
-    loss_lp = float(np.sum(log_dens))
-
     # direct partials of the density and the reparameterization path
     dlp_dq = -dev * inv_var
     dlp_dmu = dev * inv_var
     dlp_dls = -1.0 + dev * dev * inv_var
-    dq_dls = sigma * noise
-    grad_mu_lp = dlp_dmu + dlp_dq  # dq/dmu = 1
-    grad_ls_lp = dlp_dls + dlp_dq * dq_dls
+    grad_mu = spec.w_lp * (dlp_dmu + dlp_dq)  # dq/dmu = 1
+    grad_ls = spec.w_lp * (dlp_dls + dlp_dq * (sigma * noise))
+    return loss, grad_mu, grad_ls
 
-    grad_mu = spec.w_lp * grad_mu_lp
-    grad_ls = spec.w_lp * grad_ls_lp
-    grad_mu[action] += 2.0 * diff
-    grad_ls[action] += 2.0 * diff * sigma[action] * noise[action]
-    return loss_td + spec.w_lp * loss_lp, grad_mu, grad_ls
+
+def _softmax(q: np.ndarray) -> np.ndarray:
+    shifted = q - np.max(q)
+    e = np.exp(shifted)
+    return e / np.sum(e)
 
 
 def softmax_clipped(q: np.ndarray, clip_low: float) -> np.ndarray:
@@ -186,49 +162,22 @@ def softmax_clipped(q: np.ndarray, clip_low: float) -> np.ndarray:
     No renormalization after the clamp; values that enter a log downstream
     are therefore bounded away from zero.
     """
-    q = np.asarray(q, dtype=float)
-    shifted = q - np.max(q)
-    e = np.exp(shifted)
-    sm = e / np.sum(e)
-    return np.clip(sm, clip_low, 1.0)
+    return np.clip(_softmax(np.asarray(q, dtype=float)), clip_low, 1.0)
 
 
-def loss_me(
-    prediction: float,
-    bootstrap_target: float,
-    action: int,
-    mu: np.ndarray,
-    log_sigma: np.ndarray,
-    noise: np.ndarray,
-    spec: AgentSpec,
-    sign_mode: str | None = None,
-):
-    """TD loss plus the weighted sum of log softmax values of the sampled q.
+def loss_me(spec: AgentSpec, q, sigma, noise):
+    """Weighted sum of the log softmax values of the sampled q.
 
-    In the default ``uniform_prior`` mode the sum is subtracted, making the
-    penalty smallest at a uniform softmax; ``as_written`` adds it instead.
-    Components clamped by the softmax clip contribute no gradient.
+    Returns (loss, grad_mu, grad_log_sigma) of this penalty alone. In the
+    default ``uniform_prior`` mode the sum is subtracted, making the penalty
+    smallest at a uniform softmax; ``as_written`` adds it instead. Components
+    clamped by the softmax clip contribute no gradient.
     """
-    sign_mode = spec.me_sign if sign_mode is None else sign_mode
-    sign = -1.0 if sign_mode == SIGN_UNIFORM_PRIOR else 1.0
-    sigma = np.exp(log_sigma)
-    q = reparameterize(mu, log_sigma, noise)
-    diff = prediction - bootstrap_target
-    loss_td = diff * diff
-
-    shifted = q - np.max(q)
-    e = np.exp(shifted)
-    sm_raw = e / np.sum(e)
-    sm = np.clip(sm_raw, spec.softmax_clip_low, 1.0)
-    loss_me_term = float(np.sum(np.log(sm)))
-
+    weight = (-1.0 if spec.me_sign == SIGN_UNIFORM_PRIOR else 1.0) * spec.w_me
+    sm_raw = _softmax(q)
+    loss = weight * float(np.sum(np.log(np.clip(sm_raw, spec.softmax_clip_low, 1.0))))
     unclamped = sm_raw >= spec.softmax_clip_low
     k = float(np.sum(unclamped))
     # d/dq_j sum_{i unclamped} log sm_i = [j unclamped] - k * sm_j
-    grad_q = unclamped.astype(float) - k * sm_raw
-
-    grad_mu = sign * spec.w_me * grad_q
-    grad_ls = sign * spec.w_me * grad_q * sigma * noise
-    grad_mu[action] += 2.0 * diff
-    grad_ls[action] += 2.0 * diff * sigma[action] * noise[action]
-    return loss_td + sign * spec.w_me * loss_me_term, grad_mu, grad_ls
+    grad_mu = weight * (unclamped.astype(float) - k * sm_raw)
+    return loss, grad_mu, grad_mu * sigma * noise

@@ -13,9 +13,10 @@ of ``CliConfig`` ([run]); this module restates none of them.
 
 import configparser
 import io
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .agents import AgentSpec
+from .seeding import U64_MAX
 from .sim import SimConfig
 from .train import TrainConfig
 from .validation import check_count
@@ -45,6 +46,9 @@ class CliConfig(TrainConfig):
         super().validate()
         check_count("reps", self.reps, minimum=1)
         check_count("jobs", self.jobs, minimum=1)
+        if self.seed + self.reps - 1 > U64_MAX:
+            raise ValueError(f"reps {self.reps} from seed {self.seed} run past the largest seed "
+                             "2**64 - 1")
         if not self.out_dir:
             raise ValueError("out_dir must name a directory, got an empty string")
         return self
@@ -167,8 +171,14 @@ def check_config(cfg: CliConfig, path=None, text: str = "") -> None:
 
 def as_train_config(cfg: CliConfig, seed: int | None = None,
                     checkpoint_dir: str | None = None) -> TrainConfig:
-    """The training settings of ``cfg``, for another seed if one is given."""
-    return replace(cfg, seed=cfg.seed if seed is None else seed, checkpoint_dir=checkpoint_dir)
+    """The training settings of ``cfg``, for another seed if one is given.
+
+    A plain TrainConfig: one rep's seed is validated on its own, not as the
+    start of ``cfg.reps`` seeds.
+    """
+    kept = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
+    kept.update(seed=cfg.seed if seed is None else seed, checkpoint_dir=checkpoint_dir)
+    return TrainConfig(**kept)
 
 
 def config_text(cfg: CliConfig) -> str:

@@ -97,16 +97,24 @@ _PARSERS = {
 
 
 def read_csv(path, row_type) -> list:
-    """Parse a CSV written by write_csv back into typed rows."""
+    """Parse a CSV written by write_csv back into typed rows.
+
+    An empty file, a foreign header or a record whose cell count differs
+    from the header's raises ValueError naming the path and line.
+    """
     names = field_names(row_type)
     parsers = [_PARSERS[f.type] for f in fields(row_type)]
     out = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != names:
-            raise ValueError(f"unexpected header in {path}: {header}")
+            raise ValueError(f"{path}:1: expected header {names}, got {header}")
         for record in reader:
+            if len(record) != len(names):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: {len(record)} cells, the header has {len(names)}"
+                )
             out.append(row_type(*(parse(cell) for parse, cell in zip(parsers, record))))
     return out
 

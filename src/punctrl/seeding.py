@@ -14,14 +14,14 @@ STREAM_NET_INIT = "net-init"
 STREAM_ACTION = "action"
 STREAM_PROBE = "probe"
 
-_U64_MAX = 2**64 - 1
+U64_MAX = 2**64 - 1
 
 
 def check_seed(seed: int) -> int:
     """Validate a seed as an unsigned 64-bit integer."""
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed <= _U64_MAX:
+    if not 0 <= seed <= U64_MAX:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return int(seed)
 

@@ -15,7 +15,6 @@ from .agents import (
     AGENT_KINDS,
     EG,
     VB,
-    ActionChoice,
     AgentSpec,
     Transition,
     epsilon_at,
@@ -37,6 +36,7 @@ from .net import (
     head_output_dim,
     params_from_bytes,
     params_to_bytes,
+    reparameterize,
     split_gaussian,
 )
 from .seeding import STREAM_ACTION, STREAM_ENV, STREAM_NET_INIT, check_seed, substream
@@ -112,70 +112,58 @@ def build_network(cfg: TrainConfig, rng: np.random.Generator) -> NetworkParams:
     return NetworkParams.init(cfg.sim.state_dim, cfg.hidden_dims, out_dim, rng)
 
 
-def _target_values(spec, target_params: NetworkParams, s_next) -> np.ndarray:
-    """Per-action bootstrap values from the target network.
+def loss_and_output_grad(spec, head_out, noise, tr, target_q):
+    """Loss of one transition and its gradient w.r.t. the raw head output.
 
-    Gaussian heads are read at their means; the bootstrap is a constant in
-    the loss either way.
+    The TD term is computed once for every kind, on the estimates the action
+    was chosen from: the deterministic output for eg, the sample rebuilt
+    from ``noise`` for vb/me. The Gaussian kinds add their regularizer, and
+    the TD gradient reaches log_sigma[a] through that sample.
     """
-    target_out = forward(target_params, s_next)
     if spec.kind == EG:
-        return target_out
-    return split_gaussian(target_out)[0]
-
-
-def _output_gradients(spec, head_out, choice, tr, target_q):
-    """Loss of one transition and its gradient w.r.t. the raw head output."""
-    prediction, bootstrap_target = td_components(spec, choice.q, target_q, tr)
+        q = head_out
+    else:
+        mu, log_sigma = split_gaussian(head_out)
+        q = reparameterize(mu, log_sigma, noise)
+    prediction, bootstrap_target = td_components(spec, q, target_q, tr)
+    loss, grad_pred = loss_eg(prediction, bootstrap_target)
     if spec.kind == EG:
-        loss, grad_pred = loss_eg(prediction, bootstrap_target)
         grad_out = np.zeros_like(head_out)
         grad_out[tr.a] = grad_pred
         return loss, grad_out
-    mu, log_sigma = split_gaussian(head_out)
-    loss_fn = loss_vb if spec.kind == VB else loss_me
-    loss, grad_mu, grad_ls = loss_fn(
-        prediction, bootstrap_target, tr.a, mu, log_sigma, choice.noise, spec
-    )
-    return loss, np.concatenate([grad_mu, grad_ls])
+    sigma = np.exp(log_sigma)
+    if spec.kind == VB:
+        loss_reg, grad_mu, grad_ls = loss_vb(spec, q, mu, log_sigma, sigma, noise)
+    else:
+        loss_reg, grad_mu, grad_ls = loss_me(spec, q, sigma, noise)
+    grad_mu[tr.a] += grad_pred
+    grad_ls[tr.a] += grad_pred * sigma[tr.a] * noise[tr.a]
+    return loss + loss_reg, np.concatenate([grad_mu, grad_ls])
 
 
-def _choice_from_noise(spec, head_out, action, noise) -> ActionChoice:
-    """Reconstruct the per-action estimates for a known action and noise draw."""
-    if spec.kind == EG:
-        return ActionChoice(action, np.asarray(head_out, dtype=float), None)
-    mu, log_sigma = split_gaussian(head_out)
-    return ActionChoice(action, mu + np.exp(log_sigma) * noise, noise)
+def loss_and_grads(spec, online, target, head_out, cache, noise, tr, grads) -> float:
+    """Loss of one transition; fills ``grads`` with its gradient w.r.t. ``online``.
+
+    ``head_out`` and ``cache`` come from ``forward_cached(online, tr.s)``.
+    Gaussian targets bootstrap from their means; either way the bootstrap
+    is a constant in the loss.
+    """
+    target_q = forward(target, tr.s_next)
+    if spec.kind != EG:
+        target_q = split_gaussian(target_q)[0]
+    loss, grad_out = loss_and_output_grad(spec, head_out, noise, tr, target_q)
+    backward(online, cache, grad_out, out=grads)
+    return loss
 
 
-def _learn_step(spec, pair, adam, head_out, cache, choice, tr, grads) -> float:
+def _learn_step(spec, pair, adam, head_out, cache, noise, tr, grads) -> float:
     """One gradient/Polyak update on a single transition; returns the loss.
 
     ``grads`` is the run's gradient buffer, overwritten by every step.
     """
-    target_q = _target_values(spec, pair.target, tr.s_next)
-    loss, grad_out = _output_gradients(spec, head_out, choice, tr, target_q)
-    backward(pair.online, cache, grad_out, out=grads)
+    loss = loss_and_grads(spec, pair.online, pair.target, head_out, cache, noise, tr, grads)
     adam.step(pair.online, grads)
     pair.polyak_update()
-    return loss
-
-
-def _analytic_loss_grads(params, target_params, tr, spec, noise) -> NetworkParams:
-    """Per-parameter loss gradients on one transition, for oracle checks."""
-    head_out, cache = forward_cached(params, tr.s)
-    choice = _choice_from_noise(spec, head_out, tr.a, noise)
-    target_q = _target_values(spec, target_params, tr.s_next)
-    _, grad_out = _output_gradients(spec, head_out, choice, tr, target_q)
-    return backward(params, cache, grad_out)
-
-
-def _loss_for_check(params, target_params, s, s_next, tr, spec, noise) -> float:
-    """Scalar loss of one transition under fixed noise, for finite differences."""
-    head_out = forward(params, tr.s)
-    choice = _choice_from_noise(spec, head_out, tr.a, noise)
-    target_q = _target_values(spec, target_params, tr.s_next)
-    loss, _ = _output_gradients(spec, head_out, choice, tr, target_q)
     return loss
 
 
@@ -235,10 +223,10 @@ def train(cfg: TrainConfig, initial_params: NetworkParams | None = None) -> RunR
             if is_eg:
                 epsilon = epsilon_at(global_step, total_decay, spec)
             head_out, _ = forward_cached(online, obs, cache)
-            choice = select_action(spec, head_out, action_rng, epsilon)
-            obs_next, reward, _ = env.step(choice.action)
-            tr.s, tr.a, tr.r, tr.s_next = obs, choice.action, reward.r_total, obs_next
-            loss = _learn_step(spec, pair, adam, head_out, cache, choice, tr, grads)
+            action, noise = select_action(spec, head_out, action_rng, epsilon)
+            obs_next, reward, _ = env.step(action)
+            tr.s, tr.a, tr.r, tr.s_next = obs, action, reward.r_total, obs_next
+            loss = _learn_step(spec, pair, adam, head_out, cache, noise, tr, grads)
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at episode {episode}, step {global_step} "
@@ -386,10 +374,10 @@ def probe_adaptation(
     grads = online.zeros_like()
     for count in range(1, cap + 1):
         head_out, _ = forward_cached(online, tr.s, cache)
-        choice = select_action(spec, head_out, rng, epsilon=0.0)
-        if choice.action != 0:
+        action, noise = select_action(spec, head_out, rng, epsilon=0.0)
+        if action != 0:
             return count
-        loss = _learn_step(spec, pair, adam, head_out, cache, choice, tr, grads)
+        loss = _learn_step(spec, pair, adam, head_out, cache, noise, tr, grads)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"non-finite loss during adaptation probe at step {count}")
     return cap

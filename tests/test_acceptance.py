@@ -19,18 +19,16 @@ from punctrl.agents import (
     VB,
     AgentSpec,
     Transition,
-    loss_me,
-    loss_vb,
     softmax_clipped,
 )
 from punctrl.cli import main as cli_main
-from punctrl.net import NetworkParams, reparameterize
+from punctrl.net import NetworkParams, forward_cached, reparameterize
 from punctrl.seeding import substream
 from punctrl.sim import PuncturingSim, SimConfig
 from punctrl.train import (
     TrainConfig,
-    _analytic_loss_grads,
-    _loss_for_check,
+    loss_and_grads,
+    loss_and_output_grad,
     manual_baseline,
     probe_adaptation,
     probe_reaction,
@@ -187,6 +185,13 @@ class TestCriterion3ProbePreference:
 
 
 class TestCriterion4GradientOracle:
+    def loss_grads(self, params, target_params, tr, spec, noise):
+        """Loss and parameter gradients of one transition, as a training step computes them."""
+        head_out, cache = forward_cached(params, tr.s)
+        grads = params.zeros_like()
+        loss = loss_and_grads(spec, params, target_params, head_out, cache, noise, tr, grads)
+        return loss, grads
+
     def fd_grads(self, params, target_params, tr, spec, noise, h=1e-5):
         grads = params.zeros_like()
         flat_p = params.flat
@@ -194,9 +199,9 @@ class TestCriterion4GradientOracle:
         for i in range(flat_p.size):
             orig = flat_p[i]
             flat_p[i] = orig + h
-            hi = _loss_for_check(params, target_params, tr.s, tr.s_next, tr, spec, noise)
+            hi, _ = self.loss_grads(params, target_params, tr, spec, noise)
             flat_p[i] = orig - h
-            lo = _loss_for_check(params, target_params, tr.s, tr.s_next, tr, spec, noise)
+            lo, _ = self.loss_grads(params, target_params, tr, spec, noise)
             flat_p[i] = orig
             flat_g[i] = (hi - lo) / (2 * h)
         return grads
@@ -220,7 +225,7 @@ class TestCriterion4GradientOracle:
                 rng.standard_normal(4),
                 terminal=False,
             )
-            analytic = _analytic_loss_grads(params, target_params, tr, spec, noise)
+            _, analytic = self.loss_grads(params, target_params, tr, spec, noise)
             numeric = self.fd_grads(params, target_params, tr, spec, noise)
             gap = np.abs(analytic.flat - numeric.flat)
             assert np.all(gap <= 1e-4 * np.abs(numeric.flat) + 1e-7), (
@@ -287,7 +292,10 @@ class TestCriterion6VbReduction:
             q = reparameterize(mu, log_sigma, noise)
             action = int(rng.integers(0, 3))
             # zero TD error isolates the density term
-            _, grad_mu, grad_ls = loss_vb(q[action], q[action], action, mu, log_sigma, noise, spec)
+            tr = Transition(None, action, float(q[action]), None, terminal=True)
+            head_out = np.concatenate([mu, log_sigma])
+            _, grad_out = loss_and_output_grad(spec, head_out, noise, tr, np.zeros(3))
+            grad_mu, grad_ls = grad_out[:3], grad_out[3:]
             worst = max(worst, float(np.max(np.abs(grad_ls + spec.w_lp))))
             worst = max(worst, float(np.max(np.abs(grad_mu))))
             assert np.allclose(grad_ls, -spec.w_lp, atol=1e-10)
@@ -301,13 +309,16 @@ class TestCriterion7MePenaltyMinimizer:
         rng = np.random.default_rng(12)
         log_sigma = np.full(3, -40.0)
         noise = np.zeros(3)
+        tr = Transition(None, 0, 0.0, None, terminal=True)
         worst = 0.0
         for _ in range(100):
             mu = rng.standard_normal(3)
             for _ in range(1500):
                 # penalty-only gradient: zero TD error, degenerate variance
-                _, grad_mu, _ = loss_me(mu[0], mu[0], 0, mu, log_sigma, noise, spec)
-                mu = mu - 0.05 * grad_mu
+                tr.r = float(mu[0])
+                head_out = np.concatenate([mu, log_sigma])
+                _, grad_out = loss_and_output_grad(spec, head_out, noise, tr, np.zeros(3))
+                mu = mu - 0.05 * grad_out[:3]
             sm = softmax_clipped(mu, spec.softmax_clip_low)
             worst = max(worst, float(np.max(np.abs(sm - 1.0 / 3.0))))
             assert np.all(np.abs(sm - 1.0 / 3.0) <= 1e-3)

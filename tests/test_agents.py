@@ -19,9 +19,25 @@ from punctrl.agents import (
     softmax_clipped,
     td_components,
 )
-from punctrl.net import NetworkParams, reparameterize
+from punctrl.net import NetworkParams, forward_cached, reparameterize
+from punctrl.train import loss_and_grads, loss_and_output_grad
 
 TABLE_DECAY_STEPS = 45_000  # half of 30 episodes x 3000 steps
+
+
+def vb_args(mu, log_sigma, noise):
+    """The sample, mean, log-std, std and noise that loss_and_output_grad hands loss_vb."""
+    return reparameterize(mu, log_sigma, noise), mu, log_sigma, np.exp(log_sigma), noise
+
+
+def me_args(mu, log_sigma, noise):
+    """The sample, std and noise that loss_and_output_grad hands loss_me."""
+    return reparameterize(mu, log_sigma, noise), np.exp(log_sigma), noise
+
+
+def td_only_transition(action, bootstrap_target):
+    """A terminal transition: its bootstrap target is exactly its reward."""
+    return Transition(None, action, bootstrap_target, None, terminal=True)
 
 
 class TestEpsilonSchedule:
@@ -50,16 +66,16 @@ class TestSelectAction:
     def test_eg_greedy_at_zero_epsilon(self):
         spec = AgentSpec(kind=EG)
         rng = np.random.default_rng(0)
-        choice = select_action(spec, np.array([3.0, 1.0, 2.0]), rng, epsilon=0.0)
-        assert choice.action == 0
-        assert choice.noise is None
+        action, noise = select_action(spec, np.array([3.0, 1.0, 2.0]), rng, epsilon=0.0)
+        assert action == 0
+        assert noise is None
 
     def test_eg_uniform_at_full_epsilon(self):
         spec = AgentSpec(kind=EG)
         rng = np.random.default_rng(1)
         counts = np.zeros(3)
         for _ in range(100_000):
-            counts[select_action(spec, np.array([9.0, 0.0, 0.0]), rng, epsilon=1.0).action] += 1
+            counts[select_action(spec, np.array([9.0, 0.0, 0.0]), rng, epsilon=1.0)[0]] += 1
         assert np.allclose(counts / counts.sum(), 1 / 3, atol=0.01)
 
     def test_gaussian_degenerate_variance_is_greedy(self):
@@ -67,22 +83,22 @@ class TestSelectAction:
         rng = np.random.default_rng(2)
         head_out = np.array([0.1, 0.9, 0.3, -30.0, -30.0, -30.0])
         for _ in range(50):
-            assert select_action(spec, head_out, rng).action == 1
+            assert select_action(spec, head_out, rng)[0] == 1
 
     def test_gaussian_returns_sample_and_noise(self):
         spec = AgentSpec(kind=ME)
         rng = np.random.default_rng(3)
         head_out = np.array([0.0, 0.0, 0.0, 0.2, 0.2, 0.2])
-        choice = select_action(spec, head_out, rng)
-        assert choice.noise.shape == (3,)
-        assert np.allclose(choice.q, np.exp(0.2) * choice.noise)
+        action, noise = select_action(spec, head_out, rng)
+        assert noise.shape == (3,)
+        assert action == np.argmax(np.exp(0.2) * noise)
 
     def test_argmax_shift_invariant(self):
         spec = AgentSpec(kind=EG)
         rng = np.random.default_rng(4)
         q = np.array([0.3, -0.2, 0.9])
-        a = select_action(spec, q, rng, epsilon=0.0).action
-        b = select_action(spec, q + 123.4, rng, epsilon=0.0).action
+        a = select_action(spec, q, rng, epsilon=0.0)[0]
+        b = select_action(spec, q + 123.4, rng, epsilon=0.0)[0]
         assert a == b == 2
 
 
@@ -129,7 +145,11 @@ class TestLossVb:
         log_sigma = np.array([0.1, -0.3, 0.0])
         noise = np.array([0.5, -1.0, 0.2])
         q = reparameterize(mu, log_sigma, noise)
-        loss, grad_mu, grad_ls = loss_vb(q[1], 0.7, 1, mu, log_sigma, noise, spec)
+        head_out = np.concatenate([mu, log_sigma])
+        loss, grad_out = loss_and_output_grad(
+            spec, head_out, noise, td_only_transition(1, 0.7), np.zeros(3)
+        )
+        grad_mu = grad_out[:3]
         td_loss, td_grad = loss_eg(q[1], 0.7)
         assert loss == pytest.approx(td_loss, abs=1e-12)
         assert grad_mu[1] == pytest.approx(td_grad, abs=1e-12)
@@ -140,7 +160,7 @@ class TestLossVb:
         mu = np.zeros(3)
         log_sigma = np.zeros(3)
         noise = np.zeros(3)
-        loss, _, _ = loss_vb(0.0, 0.0, 0, mu, log_sigma, noise, spec)
+        loss, _, _ = loss_vb(spec, *vb_args(mu, log_sigma, noise))
         assert loss == pytest.approx(3 * -0.5 * math.log(2 * math.pi), abs=1e-12)
         assert loss == pytest.approx(-2.756815599614018, abs=1e-9)
 
@@ -152,13 +172,10 @@ class TestLossVb:
             mu = rng.standard_normal(3)
             log_sigma = rng.standard_normal(3) * 0.5
             noise = rng.standard_normal(3)
-            q = reparameterize(mu, log_sigma, noise)
-            _, grad_mu, grad_ls = loss_vb(q[0], q[0], 0, mu, log_sigma, noise, spec)
-            # zero TD error isolates the density term
-            for i in (1, 2):
+            _, grad_mu, grad_ls = loss_vb(spec, *vb_args(mu, log_sigma, noise))
+            for i in (0, 1, 2):
                 assert grad_ls[i] == pytest.approx(-spec.w_lp, abs=1e-10)
                 assert grad_mu[i] == pytest.approx(0.0, abs=1e-10)
-            assert grad_ls[0] == pytest.approx(-spec.w_lp, abs=1e-10)
 
 
 class TestSoftmaxClipped:
@@ -193,7 +210,7 @@ class TestLossMe:
         mu = np.full(3, 2.0)
         log_sigma = np.full(3, -40.0)
         noise = np.zeros(3)
-        loss, _, _ = loss_me(2.0, 2.0, 0, mu, log_sigma, noise, spec)
+        loss, _, _ = loss_me(spec, *me_args(mu, log_sigma, noise))
         # uniform softmax: penalty is -sum log(1/3) with the uniform-prior sign
         assert loss == pytest.approx(-1.0 * 3 * math.log(1 / 3), abs=1e-9)
         assert loss == pytest.approx(3.295836866004329, abs=1e-9)
@@ -204,7 +221,11 @@ class TestLossMe:
         log_sigma = np.array([0.1, -0.3, 0.0])
         noise = np.array([0.5, -1.0, 0.2])
         q = reparameterize(mu, log_sigma, noise)
-        loss, grad_mu, _ = loss_me(q[2], -0.3, 2, mu, log_sigma, noise, spec)
+        head_out = np.concatenate([mu, log_sigma])
+        loss, grad_out = loss_and_output_grad(
+            spec, head_out, noise, td_only_transition(2, -0.3), np.zeros(3)
+        )
+        grad_mu = grad_out[:3]
         td_loss, td_grad = loss_eg(q[2], -0.3)
         assert loss == pytest.approx(td_loss, abs=1e-12)
         assert grad_mu[2] == pytest.approx(td_grad, abs=1e-12)
@@ -215,8 +236,8 @@ class TestLossMe:
         noise = np.zeros(3)
         up = AgentSpec(kind=ME, me_sign=SIGN_UNIFORM_PRIOR)
         aw = AgentSpec(kind=ME, me_sign=SIGN_AS_WRITTEN)
-        l_up, g_up, _ = loss_me(0.5, 0.5, 0, mu, log_sigma, noise, up)
-        l_aw, g_aw, _ = loss_me(0.5, 0.5, 0, mu, log_sigma, noise, aw)
+        l_up, g_up, _ = loss_me(up, *me_args(mu, log_sigma, noise))
+        l_aw, g_aw, _ = loss_me(aw, *me_args(mu, log_sigma, noise))
         assert l_up == pytest.approx(-l_aw, abs=1e-9)
         assert np.allclose(g_up, -g_aw, atol=1e-9)
 
@@ -251,12 +272,19 @@ class TestLossMe:
             assert sm2.max() - sm2.min() < spread
 
 
-def fd_loss_grads(params, s, s_next, target_params, tr, spec, noise, h=1e-5):
+def loss_grads(params, target_params, tr, spec, noise):
+    """Loss and parameter gradients of one transition, through the training path."""
+    head_out, cache = forward_cached(params, tr.s)
+    grads = params.zeros_like()
+    loss = loss_and_grads(spec, params, target_params, head_out, cache, noise, tr, grads)
+    return loss, grads
+
+
+def fd_loss_grads(params, target_params, tr, spec, noise, h=1e-5):
     """Finite differences of the full per-transition loss w.r.t. every parameter."""
-    from punctrl.train import _loss_for_check
 
     def loss_at():
-        return _loss_for_check(params, target_params, s, s_next, tr, spec, noise)
+        return loss_grads(params, target_params, tr, spec, noise)[0]
 
     grads = params.zeros_like()
     for p_arr, g_arr in zip(params.arrays(), grads.arrays()):
@@ -276,8 +304,6 @@ class TestFullLossGradients:
     @pytest.mark.parametrize("kind", [EG, VB, ME])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_analytic_matches_finite_differences(self, kind, seed):
-        from punctrl.train import _analytic_loss_grads
-
         rng = np.random.default_rng(100 + seed)
         spec = AgentSpec(kind=kind)
         n_actions = 3
@@ -289,7 +315,7 @@ class TestFullLossGradients:
         noise = rng.standard_normal(n_actions) if kind != EG else None
         tr = Transition(s, int(rng.integers(0, n_actions)), 0.7, s_next, terminal=False)
 
-        analytic = _analytic_loss_grads(params, target_params, tr, spec, noise)
-        numeric = fd_loss_grads(params, s, s_next, target_params, tr, spec, noise)
+        _, analytic = loss_grads(params, target_params, tr, spec, noise)
+        numeric = fd_loss_grads(params, target_params, tr, spec, noise)
         for a, n in zip(analytic.arrays(), numeric.arrays()):
             assert np.allclose(a, n, rtol=1e-4, atol=1e-7), f"{kind} gradient mismatch"

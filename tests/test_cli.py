@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -93,17 +94,18 @@ def valid_configs(draw):
         gamma=draw(probability),
         me_sign=draw(st.sampled_from(ME_SIGNS)),
     )
+    reps = draw(st.integers(1, 64))
     return CliConfig(
         sim=sim,
         agent=agent,
         episodes=draw(st.integers(0, 10**6)),
         steps_per_episode=draw(st.integers(1, 10**6)),
-        seed=draw(st.integers(0, 2**64 - 1)),
+        seed=draw(st.integers(0, 2**64 - reps)),  # rep seeds stay below 2**64
         hidden_dims=tuple(draw(st.lists(st.integers(1, 4096), min_size=1, max_size=4))),
         learning_rate=draw(positive),
         target_tau=draw(positive),
         checkpoint_every=draw(st.integers(0, 100)),
-        reps=draw(st.integers(1, 64)),
+        reps=reps,
         jobs=draw(st.integers(1, 64)),
         out_dir=draw(st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)),
     )
@@ -222,8 +224,8 @@ class TestCmdTrain:
         for out in (out_a, out_b):
             assert run("train", "--config", tiny_config, "--agent", "me", "--seed", "7",
                        "--reps", "1", "--out", out) == 0
-        a = open(os.path.join(out_a, "episodes.csv"), "rb").read()
-        b = open(os.path.join(out_b, "episodes.csv"), "rb").read()
+        a = Path(out_a, "episodes.csv").read_bytes()
+        b = Path(out_b, "episodes.csv").read_bytes()
         assert a == b
 
     def test_unknown_agent_is_usage_error(self, tmp_path, tiny_config):
@@ -249,6 +251,21 @@ class TestCmdTrain:
         assert "out_dir" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    def test_seed_range_past_u64_writes_nothing(self, tmp_path, tiny_config, capsys):
+        out = tmp_path / "x"
+        assert run("train", "--config", tiny_config, "--seed", str(2**64 - 1), "--reps", "2",
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "seed" in err and "reps" in err
+        assert not out.exists()
+
+    def test_seed_range_ending_at_u64_max_runs(self, tmp_path, tiny_config):
+        out = tmp_path / "x"
+        assert run("train", "--config", tiny_config, "--seed", str(2**64 - 2), "--reps", "2",
+                   "--out", str(out)) == 0
+        rows = read_csv(out / "episodes.csv", EpisodeRow)
+        assert sorted({r.seed for r in rows}) == [2**64 - 2, 2**64 - 1]
+
     def test_bad_config_is_runtime_error(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[sim]\nnope = 1\n")
@@ -261,8 +278,8 @@ class TestCmdTrain:
         out_b = str(tmp_path / "b")
         assert run("train", "--config", os.path.join(out_a, "manifest.ini"),
                    "--out", out_b) == 0
-        a = open(os.path.join(out_a, "episodes.csv"), "rb").read()
-        b = open(os.path.join(out_b, "episodes.csv"), "rb").read()
+        a = Path(out_a, "episodes.csv").read_bytes()
+        b = Path(out_b, "episodes.csv").read_bytes()
         assert a == b
 
 
@@ -365,6 +382,15 @@ class TestCmdReport:
         empty.mkdir()
         assert run("report", "--in", str(empty), "--out", str(tmp_path / "rep")) == 1
         assert "no runs found" in capsys.readouterr().err
+
+    def test_truncated_episodes_csv_is_runtime_error(self, tmp_path, tiny_config, capsys):
+        runs = tmp_path / "runs"
+        run("train", "--config", tiny_config, "--agent", "eg", "--seed", "0",
+            "--reps", "1", "--out", str(runs / "eg"))
+        episodes = runs / "eg" / "episodes.csv"
+        episodes.write_bytes(episodes.read_bytes()[:-20])
+        assert run("report", "--in", str(runs), "--out", str(tmp_path / "rep")) == 1
+        assert capsys.readouterr().err.startswith(f"error: {episodes}:3: ")
 
     def test_full_report(self, tmp_path, tiny_config, capsys):
         runs = tmp_path / "runs"

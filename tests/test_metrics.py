@@ -73,6 +73,33 @@ class TestWriteCsv:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestReadCsv:
+    def written(self, tmp_path):
+        path = tmp_path / "episodes.csv"
+        write_csv([episode_row(), episode_row(episode=2)], path)
+        return path
+
+    def test_truncated_last_row_names_its_line(self, tmp_path):
+        path = self.written(tmp_path)
+        path.write_text(path.read_text()[:-20])
+        with pytest.raises(ValueError, match=r"episodes\.csv:3: \d cells, the header has 9"):
+            read_csv(path, EpisodeRow)
+
+    def test_extra_cells_rejected(self, tmp_path):
+        path = self.written(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[1] += ",7"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"episodes\.csv:2: 10 cells, the header has 9"):
+            read_csv(path, EpisodeRow)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "episodes.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=r"episodes\.csv:1: expected header"):
+            read_csv(path, EpisodeRow)
+
+
 class TestMeanStd:
     def test_single_value(self):
         assert mean_std([4.2]) == (4.2, 0.0)
