@@ -38,7 +38,6 @@ from .net import (
 from .sim import (
     PuncturingSim,
     RequestKind,
-    RewardBreakdown,
     SimConfig,
     sample_channel_gain,
 )

@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--cap", type=_count_type, default=ADAPTATION_CAP,
                          help="give up after this many confrontations")
     p_probe.add_argument("--seed", type=_seed_type, default=0, help="probe sampling seed")
-    p_probe.add_argument("--out", help="output CSV path (default: probes.csv in the run dir)")
+    p_probe.add_argument("--out", help="output CSV path (default: probes.csv in the run dir "
+                                       "for adapt, reaction/probes.csv for reaction)")
     p_probe.set_defaults(func=cmd_probe)
 
     p_report = sub.add_parser("report", help="aggregate runs into summaries and charts")
@@ -208,7 +209,10 @@ def cmd_probe(args) -> int:
                     rng = substream(args.seed, f"{STREAM_PROBE}/{run_id}/{rep}")
                     steps = probe_adaptation(params, spec, cfg, rng, cap=args.cap)
                 rows.append(ProbeRow(run_id, kind, rep, steps_until_explore=steps))
-    out_path = args.out or os.path.join(root, "probes.csv")
+    # the two modes default to different files, so running both keeps both
+    default_dir = os.path.join(root, "reaction") if args.mode == "reaction" else root
+    out_path = args.out or os.path.join(default_dir, "probes.csv")
+    os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
     write_csv(rows, out_path, ProbeRow)
     print(f"wrote {len(rows)} probe rows to {out_path}")
     return 0

@@ -69,39 +69,6 @@ class SimConfig:
 
 
 @dataclass
-class ResourceState:
-    remaining_slots: int = 0
-    gain: float = 0.0
-
-
-@dataclass
-class RequestState:
-    kind: RequestKind = RequestKind.NONE
-    age_slots: int = 0
-
-    @property
-    def pending(self) -> bool:
-        return self.kind is not RequestKind.NONE
-
-
-@dataclass(frozen=True)
-class RewardBreakdown:
-    """Per-slot reward components and their weighted sum."""
-
-    r_capacity: float
-    r_discard: float
-    r_discard_critical: float
-    r_total: float
-
-
-@dataclass
-class EventFlags:
-    tx_interrupted: bool = False
-    request_scheduled: bool = False
-    request_discarded: bool = False
-
-
-@dataclass
 class SimCounters:
     """Cumulative event counts since the last reset."""
 
@@ -141,24 +108,29 @@ class PuncturingSim:
     otherwise the slot is simply wasted. A single request can be
     outstanding at a time; further arrivals are suppressed until it
     resolves.
+
+    The state is plain attributes: ``slot_index``, per resource the
+    mini-slots its transmission still occupies (``remaining``) and its power
+    gain (``gain``), the kind of the outstanding request (``request``) and
+    the event ``counters``.
     """
 
     def __init__(self, cfg: SimConfig, rng: np.random.Generator):
         self.cfg = cfg.validate()
         self.rng = rng
+        self._clear()
+
+    def _clear(self) -> None:
+        n = self.cfg.n_resources
         self.slot_index = 0
-        self.subframe_index = 0
-        self.resources = [ResourceState() for _ in range(cfg.n_resources)]
-        self.request = RequestState()
+        self.remaining = [0] * n
+        self.gain = [0.0] * n
+        self.request = RequestKind.NONE
         self.counters = SimCounters()
 
     def reset(self) -> np.ndarray:
         """Start a fresh episode; the random stream continues uninterrupted."""
-        self.slot_index = 0
-        self.subframe_index = 0
-        self.resources = [ResourceState() for _ in range(self.cfg.n_resources)]
-        self.request = RequestState()
-        self.counters = SimCounters()
+        self._clear()
         self.begin_subframe()
         self.maybe_spawn_request()
         return self.observe()
@@ -166,110 +138,98 @@ class PuncturingSim:
     def begin_subframe(self) -> None:
         """Draw fresh occupancy and channel gains; call with slot_index wrapped to 0."""
         cfg = self.cfg
-        for res in self.resources:
-            if self.rng.random() < cfg.p_occupy:
-                res.remaining_slots = int(
-                    self.rng.integers(cfg.occupy_len_min, cfg.occupy_len_max + 1)
-                )
+        rng = self.rng
+        for k in range(cfg.n_resources):
+            if rng.random() < cfg.p_occupy:
+                self.remaining[k] = int(rng.integers(cfg.occupy_len_min, cfg.occupy_len_max + 1))
                 self.counters.tx_started += 1
             else:
-                res.remaining_slots = 0
-            res.gain = sample_channel_gain(self.rng, cfg.rayleigh_sigma)
+                self.remaining[k] = 0
+            self.gain[k] = sample_channel_gain(rng, cfg.rayleigh_sigma)
 
     def maybe_spawn_request(self) -> None:
         """Possibly pose a new request; suppressed while one is outstanding."""
-        if self.request.pending:
+        if self.request is not RequestKind.NONE:
             return
         if self.rng.random() < self.cfg.p_request:
             critical = self.rng.random() < self.cfg.p_critical
-            kind = RequestKind.CRITICAL if critical else RequestKind.NORMAL
-            self.request = RequestState(kind=kind, age_slots=0)
+            self.request = RequestKind.CRITICAL if critical else RequestKind.NORMAL
             self.counters.arrived += 1
             if critical:
                 self.counters.arrived_critical += 1
 
     def observe(self) -> np.ndarray:
         """State vector (slot position, request flags, relative occupations), all in [0, 1]."""
-        cfg = self.cfg
-        obs = np.empty(cfg.state_dim)
-        denom = max(cfg.slots_per_subframe - 1, 1)
-        obs[0] = self.slot_index / denom
-        obs[1] = 1.0 if self.request.pending else 0.0
-        obs[2] = 1.0 if self.request.kind is RequestKind.CRITICAL else 0.0
-        for k, res in enumerate(self.resources):
-            obs[3 + k] = res.remaining_slots / cfg.slots_per_subframe
-        return obs
+        slots = self.cfg.slots_per_subframe
+        request = self.request
+        return np.array(
+            [
+                self.slot_index / max(slots - 1, 1),
+                0.0 if request is RequestKind.NONE else 1.0,
+                1.0 if request is RequestKind.CRITICAL else 0.0,
+            ]
+            + [r / slots for r in self.remaining]
+        )
 
-    def step(self, action: int) -> tuple[np.ndarray, RewardBreakdown, EventFlags]:
+    def step(self, action: int) -> float:
         """Apply one action at the current mini-slot and advance time.
 
-        Returns the next observation (new occupancy/requests already drawn),
-        the reward breakdown of the slot just played, and event flags.
+        Returns the weighted reward of the slot just played; the next
+        occupancy and request are already drawn, and observe() reads them.
         """
         cfg = self.cfg
         if not 0 <= action <= cfg.n_resources:
             raise ValueError(f"action must be in [0, {cfg.n_resources}], got {action}")
-        flags = EventFlags()
         counters = self.counters
+        remaining = self.remaining
+        request = self.request
 
         if action > 0:
             counters.puncture_actions += 1
-            res = self.resources[action - 1]
-            if res.remaining_slots > 0:
-                flags.tx_interrupted = True
+            if remaining[action - 1] > 0:
                 counters.tx_interrupted += 1
             # the rest of the transmission is voided whether or not a request
             # fills the slot; the punctured mini-slot itself adds nothing to
             # capacity
-            res.remaining_slots = 0
-            if self.request.pending:
-                flags.request_scheduled = True
+            remaining[action - 1] = 0
+            if request is not RequestKind.NONE:
                 counters.scheduled += 1
-                if self.request.kind is RequestKind.CRITICAL:
+                if request is RequestKind.CRITICAL:
                     counters.scheduled_critical += 1
-                self.request = RequestState()
+                request = RequestKind.NONE
 
         r_capacity = 0.0
-        for res in self.resources:
-            if res.remaining_slots > 0:
-                r_capacity += math.log1p(res.gain)
+        for r, g in zip(remaining, self.gain):
+            if r > 0:
+                r_capacity += math.log1p(g)
 
         r_discard = 0.0
         r_discard_critical = 0.0
-        if self.request.kind is RequestKind.CRITICAL:
+        if request is RequestKind.CRITICAL:
             # a critical request not punctured in its arrival slot times out
             r_discard_critical = -1.0
-            flags.request_discarded = True
             counters.discarded += 1
             counters.discarded_critical += 1
-            self.request = RequestState()
-        elif (
-            self.request.kind is RequestKind.NORMAL
-            and self.slot_index == cfg.slots_per_subframe - 1
-        ):
+            request = RequestKind.NONE
+        elif request is RequestKind.NORMAL and self.slot_index == cfg.slots_per_subframe - 1:
             r_discard = -1.0
-            flags.request_discarded = True
             counters.discarded += 1
-            self.request = RequestState()
+            request = RequestKind.NONE
+        self.request = request
 
         r_total = (
             cfg.w_capacity * r_capacity
             + cfg.w_discard * r_discard
             + cfg.w_discard_critical * r_discard_critical
         )
-        reward = RewardBreakdown(r_capacity, r_discard, r_discard_critical, r_total)
 
-        for res in self.resources:
-            if res.remaining_slots > 0:
-                res.remaining_slots -= 1
-        if self.request.pending:
-            self.request.age_slots += 1
+        for k, r in enumerate(remaining):
+            if r > 0:
+                remaining[k] = r - 1
 
         self.slot_index += 1
         if self.slot_index == cfg.slots_per_subframe:
             self.slot_index = 0
-            self.subframe_index += 1
             self.begin_subframe()
         self.maybe_spawn_request()
-
-        return self.observe(), reward, flags
+        return r_total

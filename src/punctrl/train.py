@@ -172,10 +172,8 @@ def _episode_row(kind: str, seed: int, env: PuncturingSim, episode: int, sum_rew
     c = env.counters
     # a request still pending at truncation is neither served nor missed;
     # ratios are over resolved requests so missed + scheduled = arrived
-    arrived = c.arrived - (1 if env.request.pending else 0)
-    arrived_critical = c.arrived_critical - (
-        1 if env.request.kind is RequestKind.CRITICAL else 0
-    )
+    arrived = c.arrived - (0 if env.request is RequestKind.NONE else 1)
+    arrived_critical = c.arrived_critical - (1 if env.request is RequestKind.CRITICAL else 0)
     return EpisodeRow(
         run_id=format_run_id(kind, seed),
         agent=kind,
@@ -224,15 +222,16 @@ def train(cfg: TrainConfig, initial_params: NetworkParams | None = None) -> RunR
                 epsilon = epsilon_at(global_step, total_decay, spec)
             head_out, _ = forward_cached(online, obs, cache)
             action, noise = select_action(spec, head_out, action_rng, epsilon)
-            obs_next, reward, _ = env.step(action)
-            tr.s, tr.a, tr.r, tr.s_next = obs, action, reward.r_total, obs_next
+            r_total = env.step(action)
+            obs_next = env.observe()
+            tr.s, tr.a, tr.r, tr.s_next = obs, action, r_total, obs_next
             loss = _learn_step(spec, pair, adam, head_out, cache, noise, tr, grads)
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at episode {episode}, step {global_step} "
                     f"({run_id})"
                 )
-            sum_reward += reward.r_total
+            sum_reward += r_total
             obs = obs_next
             global_step += 1
         if not online.all_finite():
@@ -285,9 +284,9 @@ def manual_baseline(cfg: TrainConfig) -> RunResult:
         env.reset()
         sum_reward = 0.0
         for _ in range(cfg.steps_per_episode):
-            action = manual_action([res.remaining_slots for res in env.resources], env.request.kind)
-            _, reward, _ = env.step(action)
-            sum_reward += reward.r_total
+            # the heuristic reads the state directly; it needs no observation
+            action = manual_action(env.remaining, env.request)
+            sum_reward += env.step(action)
             total_steps += 1
         rows.append(_episode_row(MANUAL, cfg.seed, env, episode, sum_reward, 0.0))
     return RunResult(format_run_id(MANUAL, cfg.seed), MANUAL, cfg.seed, rows, None, total_steps)

@@ -24,7 +24,7 @@ from punctrl.agents import (
 from punctrl.cli import main as cli_main
 from punctrl.net import NetworkParams, forward_cached, reparameterize
 from punctrl.seeding import substream
-from punctrl.sim import PuncturingSim, SimConfig
+from punctrl.sim import PuncturingSim, RequestKind, SimConfig
 from punctrl.train import (
     TrainConfig,
     loss_and_grads,
@@ -245,8 +245,8 @@ class TestCriterion5DistributionOracles:
         total, count = 0.0, 0
         for _ in range(100_000):
             sim.begin_subframe()
-            for res in sim.resources:
-                total += res.gain
+            for gain in sim.gain:
+                total += gain
                 count += 1
         mean = total / count
         ok = 1.9 <= mean <= 2.1
@@ -260,22 +260,20 @@ class TestCriterion5DistributionOracles:
         n = 100_000
         for _ in range(n):
             sim.begin_subframe()
-            occupied += sum(1 for r in sim.resources if r.remaining_slots > 0)
+            occupied += sum(1 for r in sim.remaining if r > 0)
         rate = occupied / (2 * n)
         assert abs(rate - 0.7) <= 0.01, f"occupancy rate {rate:.4f}"
 
     def test_request_arrival_rate(self):
-        from punctrl.sim import RequestState
-
         cfg = SimConfig(p_request=0.1, p_critical=0.0)
         sim = PuncturingSim(cfg, np.random.default_rng(9))
         arrivals = 0
         n = 100_000
         for _ in range(n):
             sim.maybe_spawn_request()
-            if sim.request.pending:
+            if sim.request is not RequestKind.NONE:
                 arrivals += 1
-            sim.request = RequestState()
+            sim.request = RequestKind.NONE
         rate = arrivals / n
         assert abs(rate - 0.1) <= 0.005, f"arrival rate {rate:.4f}"
 

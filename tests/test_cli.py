@@ -314,7 +314,7 @@ class TestCmdProbe:
 
     def test_reaction_rows(self, trained_dir):
         assert run("probe", "--checkpoints", trained_dir, "--mode", "reaction") == 0
-        rows = read_csv(os.path.join(trained_dir, "probes.csv"), ProbeRow)
+        rows = read_csv(os.path.join(trained_dir, "reaction", "probes.csv"), ProbeRow)
         assert len(rows) == 1
         row = rows[0]
         assert row.agent == "eg"
@@ -368,6 +368,21 @@ class TestCmdProbe:
         assert run("probe", "--checkpoints", trained_dir, "--mode", "reaction") == 1
         assert "manifest.ini" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(trained_dir, "probes.csv"))
+        assert not os.path.exists(os.path.join(trained_dir, "reaction"))
+
+    def test_reaction_and_adapt_keep_both_outputs(self, tmp_path, trained_dir, capsys):
+        assert run("probe", "--checkpoints", trained_dir, "--mode", "reaction") == 0
+        assert run("probe", "--checkpoints", trained_dir, "--mode", "adapt",
+                   "--reps", "2", "--cap", "5") == 0
+        reaction = read_csv(os.path.join(trained_dir, "reaction", "probes.csv"), ProbeRow)
+        adapt = read_csv(os.path.join(trained_dir, "probes.csv"), ProbeRow)
+        assert [r.md is not None for r in reaction] == [True]
+        assert [r.steps_until_explore is not None for r in adapt] == [True, True]
+        capsys.readouterr()
+        assert run("report", "--in", trained_dir, "--out", str(tmp_path / "rep")) == 0
+        out = capsys.readouterr().out
+        assert "Reaction to the unseen critical event" in out
+        assert "steps until the new event" in out
 
     def test_missing_checkpoints_fail(self, tmp_path):
         empty = tmp_path / "empty"

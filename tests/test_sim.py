@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,8 @@ import pytest
 from punctrl.sim import (
     PuncturingSim,
     RequestKind,
-    RequestState,
-    ResourceState,
     SimConfig,
+    SimCounters,
     gain_from_uniform,
     sample_channel_gain,
 )
@@ -17,6 +17,14 @@ from punctrl.sim import (
 def make_sim(seed=0, **kwargs):
     cfg = SimConfig(**kwargs)
     return PuncturingSim(cfg, np.random.default_rng(seed))
+
+
+def step_with_deltas(sim, action):
+    """One step; returns r_total and the counter increments it caused, by field name."""
+    before = dataclasses.asdict(sim.counters)
+    r_total = sim.step(action)
+    after = dataclasses.asdict(sim.counters)
+    return r_total, {name: after[name] - before[name] for name in before}
 
 
 class TestChannelGain:
@@ -50,7 +58,7 @@ class TestBeginSubframe:
     def test_p_occupy_zero_leaves_everything_free(self):
         sim = make_sim(p_occupy=0.0)
         sim.reset()
-        assert all(r.remaining_slots == 0 for r in sim.resources)
+        assert all(r == 0 for r in sim.remaining)
 
     def test_p_occupy_one_lengths_uniform(self):
         sim = make_sim(seed=3, p_occupy=1.0, p_request=0.0)
@@ -59,8 +67,8 @@ class TestBeginSubframe:
         for _ in range(n_subframes):
             sim.slot_index = 0
             sim.begin_subframe()
-            for res in sim.resources:
-                counts[res.remaining_slots] += 1
+            for r in sim.remaining:
+                counts[r] += 1
         total = sum(counts.values())
         assert total == 2 * n_subframes
         for length in (5, 6, 7):
@@ -72,13 +80,13 @@ class TestBeginSubframe:
         n_subframes = 100_000
         for _ in range(n_subframes):
             sim.begin_subframe()
-            occupied += sum(1 for r in sim.resources if r.remaining_slots > 0)
+            occupied += sum(1 for r in sim.remaining if r > 0)
         assert occupied / (2 * n_subframes) == pytest.approx(0.70, abs=0.01)
 
     def test_gains_redrawn_for_unoccupied_resources(self):
         sim = make_sim(seed=5, p_occupy=0.0)
         sim.begin_subframe()
-        assert all(r.gain > 0.0 for r in sim.resources)
+        assert all(g > 0.0 for g in sim.gain)
 
 
 class TestSpawnRequest:
@@ -95,13 +103,13 @@ class TestSpawnRequest:
         arrivals = 0
         n = 100_000
         for _ in range(n):
-            was_free = not sim.request.pending
+            was_free = sim.request is RequestKind.NONE
             sim.maybe_spawn_request()
             if was_free:
                 free_slots += 1
-                if sim.request.pending:
+                if sim.request is not RequestKind.NONE:
                     arrivals += 1
-            sim.request = RequestState()  # resolve immediately so slots stay free
+            sim.request = RequestKind.NONE  # resolve immediately so slots stay free
         assert free_slots == n
         assert arrivals / free_slots == pytest.approx(0.10, abs=0.005)
         assert sim.counters.arrived_critical == 0
@@ -110,8 +118,8 @@ class TestSpawnRequest:
         sim = make_sim(p_request=1.0, p_critical=1.0)
         for _ in range(100):
             sim.maybe_spawn_request()
-            assert sim.request.kind is RequestKind.CRITICAL
-            sim.request = RequestState()
+            assert sim.request is RequestKind.CRITICAL
+            sim.request = RequestKind.NONE
 
     def test_no_arrival_while_pending(self):
         sim = make_sim(p_request=1.0, p_critical=0.0)
@@ -125,74 +133,75 @@ class TestStep:
     def test_empty_wait_gives_zero_reward(self):
         sim = make_sim(p_occupy=0.0, p_request=0.0)
         sim.reset()
-        _, reward, _ = sim.step(0)
-        assert (reward.r_capacity, reward.r_discard, reward.r_discard_critical, reward.r_total) == (
-            0.0,
-            0.0,
-            0.0,
-            0.0,
-        )
+        assert sim.step(0) == 0.0
+        # no transmission, request, puncture or discard happened
+        assert sim.counters == SimCounters()
 
     def test_capacity_sum_hand_computed(self):
         sim = make_sim(p_request=0.0)
         sim.reset()
-        sim.resources[0] = ResourceState(remaining_slots=3, gain=1.0)
-        sim.resources[1] = ResourceState(remaining_slots=5, gain=math.e - 1.0)
-        sim.request = RequestState()
-        _, reward, _ = sim.step(0)
-        assert reward.r_capacity == pytest.approx(math.log(2.0) + 1.0, abs=1e-12)
-        assert reward.r_total == pytest.approx(math.log(2.0) + 1.0, abs=1e-12)
+        sim.remaining = [3, 5]
+        sim.gain = [1.0, math.e - 1.0]
+        sim.request = RequestKind.NONE
+        r_total, deltas = step_with_deltas(sim, 0)
+        # no discard, so the total is the capacity term alone (w_capacity = 1)
+        assert deltas["discarded"] == 0
+        assert r_total == pytest.approx(math.log(2.0) + 1.0, abs=1e-12)
 
     def test_missed_critical_costs_weighted_penalty(self):
-        sim = make_sim(p_occupy=0.0, p_request=0.0)
+        # distinct discard weights: -5 can only come from the critical term
+        sim = make_sim(p_occupy=0.0, p_request=0.0, w_discard=3.0)
         sim.reset()
-        sim.request = RequestState(kind=RequestKind.CRITICAL)
-        _, reward, flags = sim.step(0)
-        assert reward.r_discard_critical == -1.0
-        assert reward.r_total == -5.0
-        assert flags.request_discarded
-        assert not sim.request.pending
+        sim.request = RequestKind.CRITICAL
+        r_total, deltas = step_with_deltas(sim, 0)
+        assert r_total == -5.0
+        assert deltas["discarded"] == 1 and deltas["discarded_critical"] == 1
+        assert sim.request is RequestKind.NONE
 
     def test_puncture_voids_transmission(self):
         sim = make_sim(p_occupy=0.0, p_request=0.0)
         sim.reset()
-        sim.resources[0] = ResourceState(remaining_slots=4, gain=2.0)
-        sim.request = RequestState(kind=RequestKind.NORMAL)
-        _, reward, flags = sim.step(1)
-        assert flags.tx_interrupted
-        assert flags.request_scheduled
-        assert sim.resources[0].remaining_slots == 0
+        sim.remaining[0] = 4
+        sim.gain[0] = 2.0
+        sim.request = RequestKind.NORMAL
+        r_total, deltas = step_with_deltas(sim, 1)
+        assert deltas["tx_interrupted"] == 1
+        assert deltas["scheduled"] == 1
+        assert deltas["discarded"] == 0
+        assert sim.remaining[0] == 0
         # voided transmission contributes nothing from the punctured slot on
-        assert reward.r_capacity == 0.0
+        assert r_total == 0.0
 
     def test_puncture_without_request_still_voids(self):
         # the punctured mini-slot is wasted, but the ongoing transmission is
         # lost either way; this is what makes random puncturing costly
         sim = make_sim(p_occupy=0.0, p_request=0.0)
         sim.reset()
-        sim.resources[0] = ResourceState(remaining_slots=4, gain=2.0)
-        _, reward, flags = sim.step(1)
-        assert flags.tx_interrupted
-        assert not flags.request_scheduled
-        assert sim.resources[0].remaining_slots == 0
-        assert reward.r_capacity == 0.0
-        assert reward.r_discard == 0.0 and reward.r_discard_critical == 0.0
+        sim.remaining[0] = 4
+        sim.gain[0] = 2.0
+        r_total, deltas = step_with_deltas(sim, 1)
+        assert deltas["tx_interrupted"] == 1
+        assert deltas["scheduled"] == 0
+        assert deltas["discarded"] == 0 and deltas["discarded_critical"] == 0
+        assert sim.remaining[0] == 0
+        assert r_total == 0.0
 
     def test_normal_discarded_only_at_final_slot(self):
-        sim = make_sim(p_occupy=0.0, p_request=0.0)
+        # distinct discard weights: -3 can only come from the normal term
+        sim = make_sim(p_occupy=0.0, p_request=0.0, w_discard=3.0)
         sim.reset()
-        sim.request = RequestState(kind=RequestKind.NORMAL)
+        sim.request = RequestKind.NORMAL
         for slot in range(6):
             assert sim.slot_index == slot
-            _, reward, _ = sim.step(0)
-            assert reward.r_discard == 0.0
-        # request survived to the final slot of the sub-frame
+            r_total, deltas = step_with_deltas(sim, 0)
+            assert r_total == 0.0 and deltas["discarded"] == 0
+        # the request set at slot 0 survived to the final slot of the sub-frame
         assert sim.slot_index == 6
-        assert sim.request.kind is RequestKind.NORMAL
-        assert sim.request.age_slots == 6
-        _, reward, _ = sim.step(0)
-        assert reward.r_discard == -1.0
-        assert reward.r_total == -5.0
+        assert sim.request is RequestKind.NORMAL
+        assert sim.counters.arrived == 0
+        r_total, deltas = step_with_deltas(sim, 0)
+        assert r_total == -3.0
+        assert deltas["discarded"] == 1 and deltas["discarded_critical"] == 0
 
     def test_action_out_of_range_rejected(self):
         sim = make_sim()
@@ -218,7 +227,7 @@ class TestObserve:
     def test_full_occupation_is_one(self):
         sim = make_sim(p_occupy=0.0, p_request=0.0)
         sim.reset()
-        sim.resources[1].remaining_slots = 7
+        sim.remaining[1] = 7
         obs = sim.observe()
         assert obs[4] == 1.0
         assert obs[3] == 0.0
@@ -226,62 +235,80 @@ class TestObserve:
     def test_request_flags(self):
         sim = make_sim(p_occupy=0.0, p_request=0.0)
         sim.reset()
-        sim.request = RequestState(kind=RequestKind.NORMAL)
+        sim.request = RequestKind.NORMAL
         assert list(sim.observe()[1:3]) == [1.0, 0.0]
-        sim.request = RequestState(kind=RequestKind.CRITICAL)
+        sim.request = RequestKind.CRITICAL
         assert list(sim.observe()[1:3]) == [1.0, 1.0]
 
 
 class TestTrajectoryInvariants:
     def rollout(self, seed, steps=3000):
+        """Random actions; per step the next obs, r_total, the capacity the
+        action left running (from the state before the step) and the
+        counter increments."""
         sim = make_sim(seed=seed, p_critical=0.3)
         rng = np.random.default_rng(seed + 1)
-        obs = sim.reset()
+        sim.reset()
         trace = []
         for _ in range(steps):
             action = int(rng.integers(0, 3))
-            critical_before = sim.request.kind is RequestKind.CRITICAL
-            obs, reward, flags = sim.step(action)
-            trace.append((obs.copy(), reward, critical_before, sim.request.kind))
+            r_capacity = 0.0
+            for k, (r, g) in enumerate(zip(sim.remaining, sim.gain)):
+                if r > 0 and k != action - 1:
+                    r_capacity += math.log1p(g)
+            r_total, deltas = step_with_deltas(sim, action)
+            trace.append((sim.observe(), r_total, r_capacity, deltas))
         return sim, trace
+
+    @staticmethod
+    def discard_terms(deltas):
+        """(r_discard, r_discard_critical) implied by the counter increments."""
+        critical = deltas["discarded_critical"]
+        return -float(deltas["discarded"] - critical), -float(critical)
 
     def test_reward_recomposition_bit_exact(self):
         sim, trace = self.rollout(21)
         cfg = sim.cfg
-        for _, reward, _, _ in trace:
+        for _, r_total, r_capacity, deltas in trace:
+            r_discard, r_discard_critical = self.discard_terms(deltas)
             expected = (
-                cfg.w_capacity * reward.r_capacity
-                + cfg.w_discard * reward.r_discard
-                + cfg.w_discard_critical * reward.r_discard_critical
+                cfg.w_capacity * r_capacity
+                + cfg.w_discard * r_discard
+                + cfg.w_discard_critical * r_discard_critical
             )
-            assert reward.r_total == expected
+            assert r_total == expected
 
     def test_component_and_observation_ranges(self):
-        _, trace = self.rollout(22)
-        for obs, reward, _, _ in trace:
-            assert reward.r_discard in (-1.0, 0.0)
-            assert reward.r_discard_critical in (-1.0, 0.0)
-            assert reward.r_capacity >= 0.0
+        sim, trace = self.rollout(22)
+        cfg = sim.cfg
+        for obs, r_total, _, deltas in trace:
+            r_discard, r_discard_critical = self.discard_terms(deltas)
+            assert r_discard in (-1.0, 0.0)
+            assert r_discard_critical in (-1.0, 0.0)
+            # what remains after the discard terms is the weighted capacity
+            discard = cfg.w_discard * r_discard + cfg.w_discard_critical * r_discard_critical
+            assert r_total - discard >= 0.0
             assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
 
     def test_critical_never_survives_its_slot(self):
         # with every slot spawning a critical request, each one must be
-        # resolved in its own step, so the pending age can never exceed 0
+        # resolved in its own step, so the request pending after a step is
+        # always one that arrived in that step
         sim = make_sim(seed=5, p_request=1.0, p_critical=1.0)
         sim.reset()
         for _ in range(200):
-            assert sim.request.kind is RequestKind.CRITICAL
-            assert sim.request.age_slots == 0
-            _, reward, flags = sim.step(0)
-            assert reward.r_discard_critical == -1.0 and flags.request_discarded
+            assert sim.request is RequestKind.CRITICAL
+            _, deltas = step_with_deltas(sim, 0)
+            assert deltas["discarded_critical"] == 1 and deltas["discarded"] == 1
+            assert deltas["arrived"] == 1
 
     def test_normal_request_never_crosses_subframe(self):
         sim = make_sim(seed=29, p_request=0.9)
         sim.reset()
         for _ in range(5000):
-            sim.step(0)
-            if sim.slot_index == 0 and sim.request.pending:
-                assert sim.request.age_slots == 0
+            _, deltas = step_with_deltas(sim, 0)
+            if sim.slot_index == 0 and sim.request is not RequestKind.NONE:
+                assert deltas["arrived"] == 1
 
     def test_determinism_same_seed_same_trajectory(self):
         _, trace_a = self.rollout(31)
@@ -295,8 +322,7 @@ class TestTrajectoryInvariants:
         sim.reset()
         seen = set()
         for _ in range(2000):
-            for res in sim.resources:
-                seen.add(res.remaining_slots)
+            seen.update(sim.remaining)
             sim.step(0)
         assert seen <= {0, 1, 2, 3, 4, 5, 6, 7}
 

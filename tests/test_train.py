@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from punctrl.agents import AgentSpec
 from punctrl.net import NetworkParams
 from punctrl.seeding import STREAM_ENV, substream
-from punctrl.sim import PuncturingSim, RequestKind, RequestState, ResourceState, SimConfig
+from punctrl.sim import PuncturingSim, RequestKind, SimConfig
 from punctrl.train import (
     TrainConfig,
     TrainingDiverged,
@@ -85,7 +85,7 @@ class TestTrain:
         for _ in range(5000):
             env.step(int(rng.integers(0, 3)))
         c = env.counters
-        pending = 1 if env.request.pending else 0
+        pending = 0 if env.request is RequestKind.NONE else 1
         assert c.scheduled + c.discarded + pending == c.arrived
         assert c.tx_interrupted <= c.puncture_actions
         assert c.tx_interrupted <= c.tx_started
@@ -243,12 +243,13 @@ class TestProbeAdaptation:
         env = PuncturingSim(sim_cfg, np.random.default_rng(3))
         env.reset()
         env.slot_index = 0
-        env.resources = [ResourceState(remaining_slots=7, gain=2.0) for _ in range(2)]
-        env.request = RequestState(kind=RequestKind.CRITICAL)
+        env.remaining = [7, 7]
+        env.gain = [2.0, 2.0]
+        env.request = RequestKind.CRITICAL
         assert np.array_equal(env.observe(), tr.s)
-        obs_next, reward, _ = env.step(0)
-        assert reward.r_total == pytest.approx(tr.r, abs=1e-12)
-        assert np.allclose(obs_next, tr.s_next, atol=1e-12)
+        r_total = env.step(0)
+        assert r_total == pytest.approx(tr.r, abs=1e-12)
+        assert np.allclose(env.observe(), tr.s_next, atol=1e-12)
 
     def test_snapshot_not_mutated(self):
         sim_cfg = SimConfig()
