@@ -30,10 +30,8 @@ from .net import (
     forward,
     forward_cached,
     gaussian_log_density,
-    load_params,
     penalized_tanh,
     sample_gaussian_head,
-    save_params,
 )
 from .sim import (
     PuncturingSim,

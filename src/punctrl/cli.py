@@ -11,6 +11,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
+from itertools import groupby
 
 from .agents import AGENT_KINDS
 from .config import ConfigError, as_train_config, check_config, load_config, write_manifest
@@ -23,7 +24,7 @@ from .metrics import (
     read_csv,
     write_csv,
 )
-from .net import DETERMINISTIC
+from .net import DETERMINISTIC, NetworkParams
 from .seeding import STREAM_PROBE, substream
 from .svgchart import Series, emit_linechart
 from .train import (
@@ -31,6 +32,7 @@ from .train import (
     MANUAL,
     load_checkpoint,
     manual_baseline,
+    network_dims,
     probe_adaptation,
     probe_reaction,
     train,
@@ -83,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_base = sub.add_parser("baseline", help="evaluate the manual scheduling heuristic")
-    p_base.add_argument("--config", help="config file")
-    p_base.add_argument("--seed", type=_seed_type, help="seed")
+    p_base.add_argument("--config", help="config file; [run] reps and jobs apply as in train")
+    p_base.add_argument("--seed", type=_seed_type, help="base seed; rep k uses seed+k")
     p_base.add_argument("--episodes", type=int, help="number of evaluation episodes")
     p_base.add_argument("--out", dest="out_dir", help="output directory")
     p_base.set_defaults(func=cmd_baseline)
@@ -93,11 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--checkpoints", required=True,
                          help="directory containing checkpoints and the run manifest")
     p_probe.add_argument("--mode", choices=("reaction", "adapt"), default="reaction")
-    p_probe.add_argument("--reps", type=_count_type, default=10,
-                         help="adaptation repetitions per checkpoint")
-    p_probe.add_argument("--cap", type=_count_type, default=ADAPTATION_CAP,
-                         help="give up after this many confrontations")
-    p_probe.add_argument("--seed", type=_seed_type, default=0, help="probe sampling seed")
+    p_probe.add_argument("--reps", type=_count_type,
+                         help="adapt only: repetitions per checkpoint (default 10)")
+    p_probe.add_argument("--cap", type=_count_type,
+                         help=f"adapt only: most confrontations per rep (default {ADAPTATION_CAP})")
+    p_probe.add_argument("--seed", type=_seed_type, help="adapt only: sampling seed (default 0)")
     p_probe.add_argument("--out", help="output CSV path (default: probes.csv in the run dir "
                                        "for adapt, reaction/probes.csv for reaction)")
     p_probe.set_defaults(func=cmd_probe)
@@ -121,8 +123,9 @@ def _resolved_config(args):
     return cfg
 
 
-def cmd_train(args) -> int:
-    cfg = _resolved_config(args)
+def _run_reps(cfg, run) -> int:
+    """Write the manifest, call ``run`` once per rep (rep k on seed + k) and write
+    every rep's rows to episodes.csv; ``run`` is ``train`` or ``manual_baseline``."""
     out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     write_manifest(cfg, os.path.join(out_dir, "manifest.ini"))
@@ -133,9 +136,9 @@ def cmd_train(args) -> int:
     ]
     if cfg.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(train, tasks))
+            results = list(pool.map(run, tasks))
     else:
-        results = [train(task) for task in tasks]
+        results = [run(task) for task in tasks]
     rows = [row for result in results for row in result.episodes]
     write_csv(rows, os.path.join(out_dir, "episodes.csv"), EpisodeRow)
     for result in results:
@@ -150,16 +153,12 @@ def cmd_train(args) -> int:
     return 0
 
 
+def cmd_train(args) -> int:
+    return _run_reps(_resolved_config(args), train)
+
+
 def cmd_baseline(args) -> int:
-    cfg = _resolved_config(args)
-    out_dir = cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    write_manifest(cfg, os.path.join(out_dir, "manifest.ini"))
-    result = manual_baseline(cfg)
-    write_csv(result.episodes, os.path.join(out_dir, "episodes.csv"), EpisodeRow)
-    mean_reward = sum(r.sum_reward for r in result.episodes) / max(len(result.episodes), 1)
-    print(f"{result.run_id}: {len(result.episodes)} episodes, mean sum reward {mean_reward:.2f}")
-    return 0
+    return _run_reps(_resolved_config(args), manual_baseline)
 
 
 def _find_checkpoints(root: str) -> list:
@@ -170,6 +169,11 @@ def _find_checkpoints(root: str) -> list:
 
 
 def cmd_probe(args) -> int:
+    given = [f"--{name}" for name in ("reps", "cap", "seed") if getattr(args, name) is not None]
+    if args.mode == "reaction" and given:
+        print(f"punctrl probe: error: --mode reaction does not read {', '.join(given)} "
+              "(adapt only)", file=sys.stderr)
+        return 2
     root = args.checkpoints
     if not os.path.isdir(root):
         print(f"checkpoint directory not found: {root}", file=sys.stderr)
@@ -188,6 +192,11 @@ def cmd_probe(args) -> int:
     for path in files:
         params, kind, _ = load_checkpoint(path)
         spec = replace(cfg.agent, kind=kind).validate()
+        expected = NetworkParams.zeros(*network_dims(cfg, spec)).shapes
+        if params.shapes != expected:
+            print(f"{path} holds weight shapes {params.shapes}, but {manifest} gives "
+                  f"{expected}", file=sys.stderr)
+            return 1
         run_id = os.path.basename(path).removesuffix(".ckpt")
         if args.mode == "reaction":
             outcome = probe_reaction(params, spec, cfg.sim)
@@ -202,12 +211,14 @@ def cmd_probe(args) -> int:
                 )
             )
         else:
-            for rep in range(args.reps):
+            # _count_type rejects 0, so `or` only fills in flags left unset
+            for rep in range(args.reps or 10):
                 # a deterministic head draws nothing that steers it at epsilon 0,
                 # so every rep replays rep 0 and gets its count
                 if rep == 0 or spec.head_mode != DETERMINISTIC:
-                    rng = substream(args.seed, f"{STREAM_PROBE}/{run_id}/{rep}")
-                    steps = probe_adaptation(params, spec, cfg, rng, cap=args.cap)
+                    rng = substream(args.seed or 0, f"{STREAM_PROBE}/{run_id}/{rep}")
+                    steps = probe_adaptation(params, spec, cfg, rng,
+                                             cap=args.cap or ADAPTATION_CAP)
                 rows.append(ProbeRow(run_id, kind, rep, steps_until_explore=steps))
     # the two modes default to different files, so running both keeps both
     default_dir = os.path.join(root, "reaction") if args.mode == "reaction" else root
@@ -263,34 +274,18 @@ def cmd_report(args) -> int:
     probe_summaries = aggregate_probes(probe_rows) if probe_rows else []
     write_csv(summaries + probe_summaries, os.path.join(args.out, "summary.csv"), SummaryRow)
 
-    for metric, filename, y_label in CHART_METRICS:
-        per_agent: dict[str, list[SummaryRow]] = {}
-        for row in summaries:
-            if row.metric == metric:
-                per_agent.setdefault(row.agent, []).append(row)
+    for metric, filename, title in CHART_METRICS:
+        # summaries come sorted by (agent, episode), so each agent's rows are adjacent
         series = []
-        for agent in sorted(per_agent):
-            rows = sorted(per_agent[agent], key=lambda r: r.episode)
-            series.append(
-                Series(
-                    label=agent,
-                    x=[r.episode for r in rows],
-                    mean=[r.mean for r in rows],
-                    lo=[r.min for r in rows],
-                    hi=[r.max for r in rows],
-                )
-            )
+        metric_rows = (r for r in summaries if r.metric == metric)
+        for agent, group in groupby(metric_rows, key=lambda r: r.agent):
+            rows = list(group)
+            series.append(Series(agent, [r.episode for r in rows], [r.mean for r in rows],
+                                 [r.min for r in rows], [r.max for r in rows]))
         baseline = None
         if manual_rows:
             baseline = sum(getattr(r, metric) for r in manual_rows) / len(manual_rows)
-        emit_linechart(
-            series,
-            os.path.join(args.out, filename),
-            title=y_label,
-            x_label="episode",
-            y_label=y_label,
-            baseline=baseline,
-        )
+        emit_linechart(series, os.path.join(args.out, filename), title, baseline=baseline)
     _print_probe_tables(probe_summaries)
     print(f"\nwrote summary and charts to {args.out}")
     return 0

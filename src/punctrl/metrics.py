@@ -137,33 +137,32 @@ def _summarize(agent, episode, metric, values) -> SummaryRow:
     return SummaryRow(agent, episode, metric, mean, std, min(values), max(values), len(values))
 
 
-def aggregate_episodes(rows) -> list[SummaryRow]:
-    """Per-agent, per-episode stats of every episode metric across runs."""
+def _aggregate(rows, key, metrics) -> list[SummaryRow]:
+    """Stats of each metric over the rows that share ``key(row)``, an (agent, episode) pair.
+
+    Groups come out sorted by (agent, episode), each with its metrics in
+    ``metrics`` order. None values are skipped; a metric with none left
+    gets no row.
+    """
     if not rows:
         raise ValueError("cannot aggregate an empty group")
     groups: dict[tuple, list] = {}
     for row in rows:
-        groups.setdefault((row.agent, row.episode), []).append(row)
+        groups.setdefault(key(row), []).append(row)
     out = []
     for agent, episode in sorted(groups):
-        members = groups[(agent, episode)]
-        for metric in EPISODE_METRICS:
-            out.append(_summarize(agent, episode, metric, [getattr(m, metric) for m in members]))
+        for metric in metrics:
+            values = [v for m in groups[(agent, episode)] if (v := getattr(m, metric)) is not None]
+            if values:
+                out.append(_summarize(agent, episode, metric, values))
     return out
+
+
+def aggregate_episodes(rows) -> list[SummaryRow]:
+    """Per-agent, per-episode stats of every episode metric across runs."""
+    return _aggregate(rows, lambda row: (row.agent, row.episode), EPISODE_METRICS)
 
 
 def aggregate_probes(rows) -> list[SummaryRow]:
     """Per-agent stats of every probe metric, skipping absent fields."""
-    if not rows:
-        raise ValueError("cannot aggregate an empty group")
-    groups: dict[str, list] = {}
-    for row in rows:
-        groups.setdefault(row.agent, []).append(row)
-    out = []
-    for agent in sorted(groups):
-        members = groups[agent]
-        for metric in PROBE_METRICS:
-            values = [getattr(m, metric) for m in members if getattr(m, metric) is not None]
-            if values:
-                out.append(_summarize(agent, None, metric, values))
-    return out
+    return _aggregate(rows, lambda row: (row.agent, None), PROBE_METRICS)

@@ -104,8 +104,7 @@ class NetworkParams:
         rng: np.random.Generator,
     ) -> "NetworkParams":
         """Uniform weights on [-1/sqrt(fan_in), 1/sqrt(fan_in)], zero biases."""
-        dims = [input_dim, *hidden_dims, output_dim]
-        params = cls._from_shapes([(o, i) for i, o in zip(dims[:-1], dims[1:])])
+        params = cls.zeros(input_dim, hidden_dims, output_dim)
         for w in params.weights:
             bound = 1.0 / math.sqrt(w.shape[1])
             w[:] = rng.uniform(-bound, bound, size=w.shape)
@@ -387,13 +386,3 @@ def params_from_bytes(buf: bytes) -> NetworkParams:
         weights.append(w.astype(float))
         biases.append(b.astype(float))
     return NetworkParams(weights, biases)
-
-
-def save_params(params: NetworkParams, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(params_to_bytes(params))
-
-
-def load_params(path) -> NetworkParams:
-    with open(path, "rb") as fh:
-        return params_from_bytes(fh.read())

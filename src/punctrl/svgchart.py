@@ -16,13 +16,13 @@ FALLBACK_COLORS = ("#e58a1a", "#6a4fb3", "#b03a2e", "#148f8f")
 
 @dataclass
 class Series:
-    """One plotted line: x positions, mean values, optional min/max band."""
+    """One plotted line: x positions, mean values and the min/max band around them."""
 
     label: str
     x: list
     mean: list
-    lo: list | None = None
-    hi: list | None = None
+    lo: list
+    hi: list
 
 
 def _nice_step(span: float, target: int) -> float:
@@ -62,10 +62,9 @@ def _label(v: float) -> str:
 
 
 def _data_range(values, fallback) -> tuple:
-    vals = [v for v in values if v is not None]
-    if not vals:
+    if not values:
         return fallback
-    lo, hi = min(vals), max(vals)
+    lo, hi = min(values), max(values)
     if lo == hi:
         pad = 0.5 if lo == 0 else abs(lo) * 0.1
         return lo - pad, hi + pad
@@ -77,24 +76,17 @@ def _series_color(series: Series, index: int) -> str:
     return PALETTE.get(series.label, FALLBACK_COLORS[index % len(FALLBACK_COLORS)])
 
 
-def emit_linechart(
-    series,
-    path,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-    baseline: float | None = None,
-    baseline_label: str = "manual",
-) -> None:
-    """Write the chart as a standalone SVG file."""
+def emit_linechart(series, path, title: str, baseline: float | None = None) -> None:
+    """Write the chart as a standalone SVG file: x is the episode, y is ``title``.
+
+    ``baseline``, when given, is drawn as a dashed line labelled "manual".
+    """
     xs, ys = [], []
     for s in series:
         xs.extend(s.x)
         ys.extend(s.mean)
-        if s.lo is not None:
-            ys.extend(s.lo)
-        if s.hi is not None:
-            ys.extend(s.hi)
+        ys.extend(s.lo)
+        ys.extend(s.hi)
     if baseline is not None:
         ys.append(baseline)
     x0, x1 = _data_range(xs, (0.0, 1.0))
@@ -150,7 +142,7 @@ def emit_linechart(
 
     for i, s in enumerate(series):
         color = _series_color(s, i)
-        if s.lo is not None and s.hi is not None and len(s.x) > 1:
+        if len(s.x) > 1:
             fwd = " ".join(f"{_fmt(px(x))},{_fmt(py(lo))}" for x, lo in zip(s.x, s.lo))
             back = " ".join(
                 f"{_fmt(px(x))},{_fmt(py(hi))}" for x, hi in zip(reversed(s.x), reversed(s.hi))
@@ -164,7 +156,7 @@ def emit_linechart(
         )
         parts.append(
             f'<text x="{_fmt(WIDTH - MARGIN_R - 4)}" y="{_fmt(py(baseline) - 5)}" '
-            f'font-size="11" fill="#333333" text-anchor="end">{baseline_label}</text>'
+            'font-size="11" fill="#333333" text-anchor="end">manual</text>'
         )
     for i, s in enumerate(series):
         color = _series_color(s, i)
@@ -185,22 +177,19 @@ def emit_linechart(
             f'fill="#111111">{s.label}</text>'
         )
 
-    if title:
-        parts.append(
-            f'<text x="{_fmt(WIDTH / 2)}" y="20" font-size="14" fill="#111111" '
-            f'text-anchor="middle">{title}</text>'
-        )
-    if x_label:
-        parts.append(
-            f'<text x="{_fmt(MARGIN_L + plot_w / 2)}" y="{_fmt(HEIGHT - 10)}" font-size="12" '
-            f'fill="#111111" text-anchor="middle">{x_label}</text>'
-        )
-    if y_label:
-        parts.append(
-            f'<text x="16" y="{_fmt(MARGIN_T + plot_h / 2)}" font-size="12" fill="#111111" '
-            f'text-anchor="middle" transform="rotate(-90 16 {_fmt(MARGIN_T + plot_h / 2)})">'
-            f"{y_label}</text>"
-        )
+    parts.append(
+        f'<text x="{_fmt(WIDTH / 2)}" y="20" font-size="14" fill="#111111" '
+        f'text-anchor="middle">{title}</text>'
+    )
+    parts.append(
+        f'<text x="{_fmt(MARGIN_L + plot_w / 2)}" y="{_fmt(HEIGHT - 10)}" font-size="12" '
+        'fill="#111111" text-anchor="middle">episode</text>'
+    )
+    parts.append(
+        f'<text x="16" y="{_fmt(MARGIN_T + plot_h / 2)}" font-size="12" fill="#111111" '
+        f'text-anchor="middle" transform="rotate(-90 16 {_fmt(MARGIN_T + plot_h / 2)})">'
+        f"{title}</text>"
+    )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(parts) + "\n")

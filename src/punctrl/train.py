@@ -43,7 +43,6 @@ from .seeding import STREAM_ACTION, STREAM_ENV, STREAM_NET_INIT, check_seed, sub
 from .sim import PuncturingSim, RequestKind, SimConfig
 from .validation import check_count, check_positive
 
-PROBE_GAIN = 2.0  # the mean of the Rayleigh-squared gain distribution
 ADAPTATION_CAP = 10000
 
 
@@ -107,9 +106,13 @@ class RunResult:
     checkpoints: list = field(default_factory=list)
 
 
+def network_dims(cfg: TrainConfig, spec: AgentSpec) -> tuple:
+    """Input width, hidden widths and head width of ``spec``'s network on ``cfg``."""
+    return cfg.sim.state_dim, cfg.hidden_dims, head_output_dim(spec.head_mode, cfg.sim.n_actions)
+
+
 def build_network(cfg: TrainConfig, rng: np.random.Generator) -> NetworkParams:
-    out_dim = head_output_dim(cfg.agent.head_mode, cfg.sim.n_actions)
-    return NetworkParams.init(cfg.sim.state_dim, cfg.hidden_dims, out_dim, rng)
+    return NetworkParams.init(*network_dims(cfg, cfg.agent), rng)
 
 
 def loss_and_output_grad(spec, head_out, noise, tr, target_q):
@@ -331,14 +334,15 @@ def probe_reaction(params: NetworkParams, spec: AgentSpec, sim_cfg: SimConfig) -
 def probe_transition(sim_cfg: SimConfig) -> Transition:
     """The one-step experience of waiting through the probe situation.
 
-    Reward: full capacity of the occupied resources at the distribution-mean
-    gain, minus the critical-discard penalty. The successor observation is
-    the next slot with no request and every occupation one slot shorter; the
+    Reward: full capacity of the occupied resources at the mean gain 2 sigma^2,
+    minus the critical-discard penalty. The successor observation is the next
+    slot with no request and every occupation one slot shorter; the
     transition bootstraps through it like any training step, which is what
     keeps a committed greedy head from flipping after a handful of updates.
     """
     s = make_probe_state(sim_cfg)
-    r_capacity = sim_cfg.n_resources * math.log1p(PROBE_GAIN)
+    mean_gain = 2.0 * sim_cfg.rayleigh_sigma * sim_cfg.rayleigh_sigma
+    r_capacity = sim_cfg.n_resources * math.log1p(mean_gain)
     r = sim_cfg.w_capacity * r_capacity + sim_cfg.w_discard_critical * (-1.0)
     s_next = np.empty(sim_cfg.state_dim)
     s_next[0] = 1.0 / max(sim_cfg.slots_per_subframe - 1, 1)

@@ -293,6 +293,17 @@ class TestCmdBaseline:
         assert all(r.agent == "manual" for r in rows)
         assert all(r.critical_missed_ratio == 0.0 for r in rows)
 
+    def test_reps_use_consecutive_seeds(self, tmp_path, tiny_config):
+        three = tmp_path / "three.ini"
+        three.write_text(Path(tiny_config).read_text() + "\n[run]\nreps = 3\n")
+        out3, out1 = str(tmp_path / "three"), str(tmp_path / "one")
+        assert run("baseline", "--config", str(three), "--seed", "4", "--out", out3) == 0
+        assert run("baseline", "--config", tiny_config, "--seed", "4", "--out", out1) == 0
+        rows3 = read_csv(os.path.join(out3, "episodes.csv"), EpisodeRow)
+        rows1 = read_csv(os.path.join(out1, "episodes.csv"), EpisodeRow)
+        assert [r.seed for r in rows3] == [4, 4, 5, 5, 6, 6]
+        assert rows3[:2] == rows1
+
     def test_no_arrivals_mean_zero_missed(self, tmp_path):
         cfg = tmp_path / "noreq.ini"
         cfg.write_text("[sim]\np_request = 0.0\n\n[train]\nepisodes = 2\nsteps_per_episode = 30\n")
@@ -356,12 +367,43 @@ class TestCmdProbe:
                    flag, value) == 2
         assert not os.path.exists(os.path.join(trained_dir, "probes.csv"))
 
-    def test_default_cap_is_ten_thousand(self, trained_dir):
+    def test_default_cap_is_ten_thousand(self, tmp_path, trained_dir, monkeypatch):
         import punctrl.cli as cli
+        from punctrl.seeding import STREAM_PROBE, substream
 
-        parser = cli.build_parser()
-        args = parser.parse_args(["probe", "--checkpoints", trained_dir])
-        assert args.cap == 10000
+        calls = []
+
+        def fake_probe(params, spec, cfg, rng, cap):
+            calls.append((rng.bit_generator.state, cap))
+            return 1
+
+        monkeypatch.setattr(cli, "probe_adaptation", fake_probe)
+        assert run("probe", "--checkpoints", str(tmp_path / "run_vb"), "--mode", "adapt") == 0
+        # the adapt defaults: 10 reps on seed 0, each capped at 10 000 confrontations
+        assert calls == [
+            (substream(0, f"{STREAM_PROBE}/vb-s1_final/{rep}").bit_generator.state, 10000)
+            for rep in range(10)
+        ]
+
+    @pytest.mark.parametrize("flag,value", [("--reps", "5"), ("--cap", "3"), ("--seed", "9")])
+    def test_reaction_rejects_adapt_flags(self, trained_dir, capsys, flag, value):
+        assert run("probe", "--checkpoints", trained_dir, "--mode", "reaction", flag, value) == 2
+        assert f"--mode reaction does not read {flag}" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(trained_dir, "reaction"))
+        assert not os.path.exists(os.path.join(trained_dir, "probes.csv"))
+
+    @pytest.mark.parametrize("line,changed", [("n_resources = 2", "n_resources = 3"),
+                                              ("hidden_dims = 8,8", "hidden_dims = 8,9")])
+    def test_checkpoint_not_matching_manifest_fails(self, trained_dir, capsys, line, changed):
+        manifest = Path(trained_dir, "manifest.ini")
+        manifest.write_text(manifest.read_text().replace(line, changed))
+        for mode in ("reaction", "adapt"):
+            assert run("probe", "--checkpoints", trained_dir, "--mode", mode) == 1
+            err = capsys.readouterr().err
+            assert str(manifest) in err
+            assert os.path.join(trained_dir, "checkpoints", "eg-s1_final.ckpt") in err
+        assert not os.path.exists(os.path.join(trained_dir, "reaction"))
+        assert not os.path.exists(os.path.join(trained_dir, "probes.csv"))
 
     def test_missing_manifest_fails(self, trained_dir, capsys):
         os.remove(os.path.join(trained_dir, "manifest.ini"))

@@ -13,14 +13,12 @@ from punctrl.net import (
     forward,
     forward_cached,
     gaussian_log_density,
-    load_params,
     params_from_bytes,
     params_to_bytes,
     penalized_tanh,
     penalized_tanh_grad,
     reparameterize,
     sample_gaussian_head,
-    save_params,
     split_gaussian,
 )
 
@@ -408,12 +406,10 @@ class TestPolyak:
 
 
 class TestSerialization:
-    def test_round_trip_exact(self, tmp_path):
+    def test_round_trip_exact(self):
         rng = np.random.default_rng(11)
         params = NetworkParams.init(5, (7, 3), 6, rng)
-        path = tmp_path / "snap.bin"
-        save_params(params, path)
-        loaded = load_params(path)
+        loaded = params_from_bytes(params_to_bytes(params))
         assert all(np.array_equal(a, b) for a, b in zip(params.arrays(), loaded.arrays()))
 
     def test_header_layout_little_endian(self):

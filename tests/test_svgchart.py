@@ -8,7 +8,7 @@ def read(path):
 class TestEmitLinechart:
     def test_empty_summary_yields_valid_axes_only_file(self, tmp_path):
         path = tmp_path / "empty.svg"
-        emit_linechart([], path, title="t", x_label="x", y_label="y")
+        emit_linechart([], path, "t")
         text = read(path)
         assert text.startswith('<?xml version="1.0"')
         assert "<svg" in text and text.rstrip().endswith("</svg>")
@@ -16,37 +16,41 @@ class TestEmitLinechart:
 
     def test_one_polyline_per_series(self, tmp_path):
         series = [
-            Series("eg", [1, 2], [1.0, 2.0]),
-            Series("vb", [1, 2], [2.0, 1.0]),
+            Series("eg", [1, 2], [1.0, 2.0], lo=[0.5, 1.5], hi=[1.5, 2.5]),
+            Series("vb", [1, 2], [2.0, 1.0], lo=[1.5, 0.5], hi=[2.5, 1.5]),
         ]
         path = tmp_path / "two.svg"
-        emit_linechart(series, path)
+        emit_linechart(series, path, "t")
         text = read(path)
         assert text.count("<polyline") == 2
 
     def test_band_renders_polygon(self, tmp_path):
         series = [Series("me", [1, 2, 3], [1.0, 2.0, 1.5], lo=[0.5, 1.5, 1.0], hi=[1.5, 2.5, 2.0])]
         path = tmp_path / "band.svg"
-        emit_linechart(series, path)
+        emit_linechart(series, path, "t")
         assert read(path).count("<polygon") == 1
 
     def test_baseline_draws_dashed_line(self, tmp_path):
         path = tmp_path / "base.svg"
-        emit_linechart([Series("eg", [0, 1], [0.0, 1.0])], path, baseline=0.5)
+        emit_linechart([Series("eg", [0, 1], [0.0, 1.0], lo=[0.0, 0.8], hi=[0.2, 1.0])], path, "t",
+                       baseline=0.5)
         text = read(path)
         assert text.count("stroke-dasharray") == 1
         assert "manual" in text
 
     def test_deterministic_bytes(self, tmp_path):
-        series = [Series("eg", list(range(10)), [v * 0.37 for v in range(10)])]
+        mean = [v * 0.37 for v in range(10)]
+        series = [Series("eg", list(range(10)), mean, lo=[v - 0.1 for v in mean],
+                         hi=[v + 0.2 for v in mean])]
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        emit_linechart(series, a, title="rewards", baseline=1.23)
-        emit_linechart(series, b, title="rewards", baseline=1.23)
+        emit_linechart(series, a, "rewards", baseline=1.23)
+        emit_linechart(series, b, "rewards", baseline=1.23)
         assert a.read_bytes() == b.read_bytes()
 
     def test_constant_series_does_not_degenerate(self, tmp_path):
         path = tmp_path / "const.svg"
-        emit_linechart([Series("eg", [1, 2, 3], [5.0, 5.0, 5.0])], path)
+        const = [5.0, 5.0, 5.0]
+        emit_linechart([Series("eg", [1, 2, 3], const, lo=const, hi=const)], path, "t")
         # "dominant-baseline" contains the substring "nan"
         text = read(path).replace("dominant-baseline", "")
         assert "nan" not in text and "inf" not in text
