@@ -30,6 +30,7 @@ from .svgchart import Series, emit_linechart
 from .train import (
     ADAPTATION_CAP,
     MANUAL,
+    format_run_id,
     load_checkpoint,
     manual_baseline,
     network_dims,
@@ -161,11 +162,13 @@ def cmd_baseline(args) -> int:
     return _run_reps(_resolved_config(args), manual_baseline)
 
 
-def _find_checkpoints(root: str) -> list:
-    finals = sorted(glob.glob(os.path.join(root, "**", "*_final.ckpt"), recursive=True))
-    if finals:
-        return finals
-    return sorted(glob.glob(os.path.join(root, "**", "*.ckpt"), recursive=True))
+def _find_checkpoints(root: str, cfg) -> list:
+    """The ``<run id>_*.ckpt`` files under ``root`` of the runs in manifest ``cfg``:
+    the final checkpoints if there are any, else all."""
+    run_ids = {format_run_id(cfg.agent.kind, cfg.seed + rep) for rep in range(cfg.reps)}
+    found = sorted(glob.glob(os.path.join(root, "**", "*.ckpt"), recursive=True))
+    paths = [path for path in found if os.path.basename(path).rsplit("_", 1)[0] in run_ids]
+    return [path for path in paths if path.endswith("_final.ckpt")] or paths
 
 
 def cmd_probe(args) -> int:
@@ -184,9 +187,9 @@ def cmd_probe(args) -> int:
               "trained with", file=sys.stderr)
         return 1
     cfg = load_config(manifest)
-    files = _find_checkpoints(root)
+    files = _find_checkpoints(root, cfg)
     if not files:
-        print(f"no checkpoints found under {root}", file=sys.stderr)
+        print(f"no checkpoints of the runs in {manifest} found under {root}", file=sys.stderr)
         return 1
     rows = []
     for path in files:

@@ -16,6 +16,7 @@ import io
 from dataclasses import dataclass, fields
 
 from .agents import AgentSpec
+from .metrics import write_atomic
 from .seeding import U64_MAX
 from .sim import SimConfig
 from .train import TrainConfig
@@ -194,5 +195,4 @@ def config_text(cfg: CliConfig) -> str:
 
 
 def write_manifest(cfg: CliConfig, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(config_text(cfg))
+    write_atomic(path, config_text(cfg).encode("utf-8"))

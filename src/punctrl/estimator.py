@@ -13,7 +13,7 @@ import numpy as np
 
 from .agents import EG, AgentSpec
 from .net import forward, split_gaussian
-from .sim import RequestKind, SimConfig
+from .sim import SimConfig, decode_state
 from .train import TrainConfig, manual_action, manual_baseline, train
 from .validation import check_state_matrix
 
@@ -123,9 +123,10 @@ class DqnScheduler(ParamsProtocolMixin):
         forward pass per row up to rounding.
         """
         self._check_fitted()
-        X = check_state_matrix(X, 3 + self.n_resources)
+        sim = self._train_config().sim
+        X = check_state_matrix(X, sim.state_dim)
         deterministic = self.agent == EG
-        values = np.empty((X.shape[0], 1 + self.n_resources))
+        values = np.empty((X.shape[0], sim.n_actions))
         for start in range(0, X.shape[0], PREDICT_BLOCK_ROWS):
             stop = start + PREDICT_BLOCK_ROWS
             out = forward(self.params_, X[start:stop])
@@ -157,16 +158,10 @@ class ManualScheduler(ParamsProtocolMixin):
 
     def predict(self, X) -> np.ndarray:
         """Heuristic action per state vector, decoded from the observation."""
-        X = check_state_matrix(X, 3 + self.n_resources)
-        slots = self.slots_per_subframe
+        sim = self._train_config().sim
+        X = check_state_matrix(X, sim.state_dim)
         actions = np.empty(X.shape[0], dtype=int)
         for i, s in enumerate(X):
-            if s[1] < 0.5:
-                kind = RequestKind.NONE
-            elif s[2] >= 0.5:
-                kind = RequestKind.CRITICAL
-            else:
-                kind = RequestKind.NORMAL
-            remaining = [round(float(v) * slots) for v in s[3:]]
-            actions[i] = manual_action(remaining, kind)
+            _, request, remaining = decode_state(sim, s)
+            actions[i] = manual_action(remaining, request)
         return actions

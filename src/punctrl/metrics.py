@@ -1,7 +1,9 @@
 """Metric records, lossless CSV persistence, and repetition aggregation."""
 
 import csv
+import io
 import math
+import os
 from dataclasses import dataclass, fields
 
 EPISODE_METRICS = (
@@ -59,6 +61,22 @@ def field_names(row_type) -> list[str]:
     return [f.name for f in fields(row_type)]
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` in one step.
+
+    The bytes go to a temporary file beside ``path`` that os.replace moves
+    over it, so a process that dies midway never leaves a truncated file.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -68,7 +86,7 @@ def _format_cell(value) -> str:
 
 
 def write_csv(rows, path, row_type=None) -> None:
-    """UTF-8 CSV with a header; floats keep 17 significant digits.
+    """UTF-8 CSV with a header, written atomically; floats keep 17 significant digits.
 
     Round-tripping through read_csv reproduces every finite value exactly.
     """
@@ -80,11 +98,12 @@ def write_csv(rows, path, row_type=None) -> None:
     for row in rows:
         if type(row) is not row_type:
             raise ValueError(f"rows must all be {row_type.__name__}, got {type(row).__name__}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for row in rows:
-            writer.writerow([_format_cell(getattr(row, name)) for name in names])
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(names)
+    for row in rows:
+        writer.writerow([_format_cell(getattr(row, name)) for name in names])
+    write_atomic(path, text.getvalue().encode("utf-8"))
 
 
 _PARSERS = {

@@ -69,31 +69,18 @@ class NetworkParams:
 
     __slots__ = ("flat", "shapes", "weights", "biases")
 
-    def __init__(self, weights, biases):
-        shapes = [np.asarray(w).shape for w in weights]
-        self._allocate(shapes)
-        for view, src in zip(self.weights, weights):
-            view[:] = src
-        for view, src in zip(self.biases, biases):
-            view[:] = src
-
-    def _allocate(self, shapes):
+    def __init__(self, shapes):
+        """Zeroed parameters for layers whose weights have the (rows, cols) ``shapes``."""
         self.shapes = list(shapes)
-        total = sum(rows * cols + rows for rows, cols in shapes)
+        total = sum(rows * cols + rows for rows, cols in self.shapes)
         self.flat = np.zeros(total)
         self.weights, self.biases = [], []
         offset = 0
-        for rows, cols in shapes:
+        for rows, cols in self.shapes:
             self.weights.append(self.flat[offset : offset + rows * cols].reshape(rows, cols))
             offset += rows * cols
             self.biases.append(self.flat[offset : offset + rows])
             offset += rows
-
-    @classmethod
-    def _from_shapes(cls, shapes) -> "NetworkParams":
-        params = cls.__new__(cls)
-        params._allocate(shapes)
-        return params
 
     @classmethod
     def init(
@@ -113,7 +100,7 @@ class NetworkParams:
     @classmethod
     def zeros(cls, input_dim: int, hidden_dims, output_dim: int) -> "NetworkParams":
         dims = [input_dim, *hidden_dims, output_dim]
-        return cls._from_shapes([(o, i) for i, o in zip(dims[:-1], dims[1:])])
+        return cls([(o, i) for i, o in zip(dims[:-1], dims[1:])])
 
     @property
     def input_dim(self) -> int:
@@ -130,12 +117,12 @@ class NetworkParams:
             yield b
 
     def copy(self) -> "NetworkParams":
-        params = NetworkParams._from_shapes(self.shapes)
+        params = NetworkParams(self.shapes)
         params.flat[:] = self.flat
         return params
 
     def zeros_like(self) -> "NetworkParams":
-        return NetworkParams._from_shapes(self.shapes)
+        return NetworkParams(self.shapes)
 
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
@@ -149,15 +136,8 @@ class NetworkParams:
         return {"shapes": self.shapes, "flat": self.flat}
 
     def __setstate__(self, state):
-        self._allocate(state["shapes"])
+        self.__init__(state["shapes"])
         self.flat[:] = state["flat"]
-
-
-def _checked_input(params: NetworkParams, s) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    if s.ndim not in (1, 2) or s.shape[-1] != params.input_dim:
-        raise ValueError(f"input of shape {s.shape} does not match input_dim {params.input_dim}")
-    return s
 
 
 def _hidden_layer(w, b, a, t, out) -> None:
@@ -169,38 +149,37 @@ def _hidden_layer(w, b, a, t, out) -> None:
 
 
 class ForwardCache:
-    """Per-layer buffers of one forward pass, refilled by every pass that reuses them.
+    """Per-layer buffers of one single-input forward pass, refilled by every pass that reuses them.
 
     Holds what backward() needs (the layer inputs and the hidden tanh
-    values) plus backward's own scratch. Built for one input shape, ``(d,)``
-    or ``(n, d)``; backward accepts only the single-input kind.
+    values) plus backward's own scratch, sized from ``params``.
     """
 
     __slots__ = ("acts", "tanhs", "out", "delta", "dact", "nonpos")
 
-    def __init__(self, params: NetworkParams, input_shape):
-        lead = tuple(input_shape[:-1])
+    def __init__(self, params: NetworkParams):
         widths = [w.shape[0] for w in params.weights[:-1]]
-        self.acts = [np.empty(tuple(input_shape))] + [np.empty(lead + (k,)) for k in widths]
-        self.tanhs = [np.empty(lead + (k,)) for k in widths]
-        self.out = np.empty(lead + (params.output_dim,))
+        self.acts = [np.empty(k) for k in (params.input_dim, *widths)]
+        self.tanhs = [np.empty(k) for k in widths]
+        self.out = np.empty(params.output_dim)
         self.delta = [np.empty(k) for k in widths]
         self.dact = [np.empty(k) for k in widths]
         self.nonpos = [np.empty(k, dtype=bool) for k in widths]
 
 
 def forward_cached(params: NetworkParams, s: np.ndarray, cache: ForwardCache | None = None):
-    """Forward pass on one input ``(d,)`` or a batch ``(n, d)``.
+    """Forward pass on one input ``(d,)``; batches go through forward().
 
-    Returns the output and the cache backward() needs. A passed-in cache
-    built for the same shape is refilled, so the returned output is its
-    buffer and the next pass through that cache overwrites it.
+    Returns the output and the cache backward() needs. A passed-in cache is
+    refilled, so the returned output is its buffer and the next pass
+    through that cache overwrites it.
     """
-    s = _checked_input(params, s)
+    s = np.asarray(s, dtype=float)
+    if s.shape != (params.input_dim,):
+        raise ValueError(f"forward_cached takes one input of shape ({params.input_dim},), "
+                         f"got {s.shape}")
     if cache is None:
-        cache = ForwardCache(params, s.shape)
-    elif cache.acts[0].shape != s.shape:
-        raise ValueError(f"cache built for input shape {cache.acts[0].shape}, got {s.shape}")
+        cache = ForwardCache(params)
     np.copyto(cache.acts[0], s)
     for i in range(len(params.weights) - 1):
         _hidden_layer(params.weights[i], params.biases[i], cache.acts[i], cache.tanhs[i],
@@ -215,7 +194,9 @@ def forward(params: NetworkParams, s: np.ndarray) -> np.ndarray:
 
     Keeps no per-layer cache, so a batch needs two hidden-width buffers.
     """
-    a = _checked_input(params, s)
+    a = np.asarray(s, dtype=float)
+    if a.ndim not in (1, 2) or a.shape[-1] != params.input_dim:
+        raise ValueError(f"input of shape {a.shape} does not match input_dim {params.input_dim}")
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         t = np.empty(a.shape[:-1] + (w.shape[0],))
         act = np.empty_like(t)
@@ -230,11 +211,9 @@ def backward(params: NetworkParams, cache: ForwardCache, grad_out: np.ndarray,
              out: NetworkParams | None = None) -> NetworkParams:
     """Exact gradients of (grad_out . output) w.r.t. every parameter.
 
-    Takes the cache of a single-input forward pass. Writes into ``out``
-    when given, else into a new NetworkParams, and returns it.
+    Takes the cache of a forward_cached pass. Writes into ``out`` when
+    given, else into a new NetworkParams, and returns it.
     """
-    if cache.out.ndim != 1:
-        raise ValueError("backward takes the cache of a single-input forward pass")
     grads = params.zeros_like() if out is None else out
     n_layers = len(params.weights)
     g = np.asarray(grad_out, dtype=float)
@@ -343,46 +322,3 @@ class TargetPair:
         self.target.flat *= 1.0 - self.tau
         np.multiply(self.online.flat, self.tau, out=self._scratch)
         self.target.flat += self._scratch
-
-
-def params_to_bytes(params: NetworkParams) -> bytes:
-    """Snapshot: little-endian u32 shape header, then f64 weight/bias data."""
-    header = [np.array([len(params.weights)], dtype="<u4").tobytes()]
-    for w in params.weights:
-        header.append(np.array(w.shape, dtype="<u4").tobytes())
-    body = []
-    for w, b in zip(params.weights, params.biases):
-        body.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        body.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    return b"".join(header + body)
-
-
-def params_from_bytes(buf: bytes) -> NetworkParams:
-    """Inverse of params_to_bytes; rejects a short buffer and trailing bytes."""
-    if len(buf) < 4:
-        raise ValueError(f"truncated parameter snapshot: {len(buf)} bytes, no layer count")
-    n_layers = int.from_bytes(buf[:4], "little")
-    if n_layers == 0:
-        raise ValueError("parameter snapshot holds no layers")
-    offset = 4 + 8 * n_layers
-    if len(buf) < offset:
-        raise ValueError(
-            f"truncated parameter snapshot: {len(buf)} bytes, the {n_layers}-layer shape "
-            f"header needs {offset}"
-        )
-    shapes = np.frombuffer(buf, dtype="<u4", count=2 * n_layers, offset=4).reshape(n_layers, 2)
-    shapes = [(int(rows), int(cols)) for rows, cols in shapes]
-    expected = offset + 8 * sum(rows * cols + rows for rows, cols in shapes)
-    if len(buf) < expected:
-        raise ValueError(f"truncated parameter snapshot: {len(buf)} of {expected} bytes")
-    if len(buf) > expected:
-        raise ValueError(f"trailing bytes after parameter snapshot: {len(buf)} of {expected}")
-    weights, biases = [], []
-    for rows, cols in shapes:
-        w = np.frombuffer(buf, dtype="<f8", count=rows * cols, offset=offset).reshape(rows, cols)
-        offset += 8 * rows * cols
-        b = np.frombuffer(buf, dtype="<f8", count=rows, offset=offset)
-        offset += 8 * rows
-        weights.append(w.astype(float))
-        biases.append(b.astype(float))
-    return NetworkParams(weights, biases)

@@ -68,6 +68,28 @@ class SimConfig:
         return 3 + self.n_resources
 
 
+def encode_state(cfg: SimConfig, slot_index: int, request: RequestKind, remaining) -> np.ndarray:
+    """State vector (slot position, request flags, relative occupations), all in [0, 1]."""
+    slots = cfg.slots_per_subframe
+    pending = 0.0 if request is RequestKind.NONE else 1.0
+    critical = 1.0 if request is RequestKind.CRITICAL else 0.0
+    return np.array([slot_index / max(slots - 1, 1), pending, critical]
+                    + [r / slots for r in remaining])
+
+
+def decode_state(cfg: SimConfig, s) -> tuple:
+    """(slot_index, request, remaining) read back from a state vector of encode_state."""
+    slots = cfg.slots_per_subframe
+    if s[1] < 0.5:
+        request = RequestKind.NONE
+    elif s[2] >= 0.5:
+        request = RequestKind.CRITICAL
+    else:
+        request = RequestKind.NORMAL
+    remaining = [round(float(v) * slots) for v in s[3:]]
+    return round(float(s[0]) * max(slots - 1, 1)), request, remaining
+
+
 @dataclass
 class SimCounters:
     """Cumulative event counts since the last reset."""
@@ -159,17 +181,8 @@ class PuncturingSim:
                 self.counters.arrived_critical += 1
 
     def observe(self) -> np.ndarray:
-        """State vector (slot position, request flags, relative occupations), all in [0, 1]."""
-        slots = self.cfg.slots_per_subframe
-        request = self.request
-        return np.array(
-            [
-                self.slot_index / max(slots - 1, 1),
-                0.0 if request is RequestKind.NONE else 1.0,
-                1.0 if request is RequestKind.CRITICAL else 0.0,
-            ]
-            + [r / slots for r in self.remaining]
-        )
+        """The current state as encode_state builds it."""
+        return encode_state(self.cfg, self.slot_index, self.request, self.remaining)
 
     def step(self, action: int) -> float:
         """Apply one action at the current mini-slot and advance time.

@@ -7,6 +7,8 @@ produce byte-identical files.
 import math
 from dataclasses import dataclass
 
+from .metrics import write_atomic
+
 WIDTH, HEIGHT = 720, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 18, 34, 48
 
@@ -191,5 +193,4 @@ def emit_linechart(series, path, title: str, baseline: float | None = None) -> N
         f"{title}</text>"
     )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_atomic(path, ("\n".join(parts) + "\n").encode("utf-8"))

@@ -7,6 +7,7 @@ environment (the random stream keeps running) but never the networks.
 
 import math
 import os
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ from .agents import (
     select_action,
     td_components,
 )
-from .metrics import EpisodeRow
+from .metrics import EpisodeRow, write_atomic
 from .net import (
     Adam,
     ForwardCache,
@@ -34,13 +35,11 @@ from .net import (
     forward_cached,
     backward,
     head_output_dim,
-    params_from_bytes,
-    params_to_bytes,
     reparameterize,
     split_gaussian,
 )
 from .seeding import STREAM_ACTION, STREAM_ENV, STREAM_NET_INIT, check_seed, substream
-from .sim import PuncturingSim, RequestKind, SimConfig
+from .sim import PuncturingSim, RequestKind, SimConfig, encode_state
 from .validation import check_count, check_positive
 
 ADAPTATION_CAP = 10000
@@ -206,7 +205,7 @@ def train(cfg: TrainConfig, initial_params: NetworkParams | None = None) -> RunR
     pair = TargetPair(online, tau=cfg.target_tau)
     adam = Adam(online, cfg.learning_rate)
     # per-run buffers that every step refills
-    cache = ForwardCache(online, (cfg.sim.state_dim,))
+    cache = ForwardCache(online)
     grads = online.zeros_like()
     tr = Transition(None, 0, 0.0, None, terminal=False)
 
@@ -297,9 +296,8 @@ def manual_baseline(cfg: TrainConfig) -> RunResult:
 
 def make_probe_state(sim_cfg: SimConfig) -> np.ndarray:
     """Critical request in the first mini-slot, every resource fully occupied."""
-    obs = np.ones(sim_cfg.state_dim)
-    obs[0] = 0.0
-    return obs
+    slots = sim_cfg.slots_per_subframe
+    return encode_state(sim_cfg, 0, RequestKind.CRITICAL, [slots] * sim_cfg.n_resources)
 
 
 @dataclass
@@ -344,11 +342,8 @@ def probe_transition(sim_cfg: SimConfig) -> Transition:
     mean_gain = 2.0 * sim_cfg.rayleigh_sigma * sim_cfg.rayleigh_sigma
     r_capacity = sim_cfg.n_resources * math.log1p(mean_gain)
     r = sim_cfg.w_capacity * r_capacity + sim_cfg.w_discard_critical * (-1.0)
-    s_next = np.empty(sim_cfg.state_dim)
-    s_next[0] = 1.0 / max(sim_cfg.slots_per_subframe - 1, 1)
-    s_next[1] = 0.0
-    s_next[2] = 0.0
-    s_next[3:] = (sim_cfg.slots_per_subframe - 1) / sim_cfg.slots_per_subframe
+    slots = sim_cfg.slots_per_subframe
+    s_next = encode_state(sim_cfg, 1, RequestKind.NONE, [slots - 1] * sim_cfg.n_resources)
     return Transition(s, 0, r, s_next, terminal=False)
 
 
@@ -373,7 +368,7 @@ def probe_adaptation(
     pair = TargetPair(online, tau=cfg.target_tau)
     adam = Adam(online, cfg.learning_rate)
     tr = probe_transition(cfg.sim)
-    cache = ForwardCache(online, tr.s.shape)
+    cache = ForwardCache(online)
     grads = online.zeros_like()
     for count in range(1, cap + 1):
         head_out, _ = forward_cached(online, tr.s, cache)
@@ -390,21 +385,25 @@ CHECKPOINT_MAGIC = b"PCKP"
 
 
 def save_checkpoint(path, params: NetworkParams, agent_kind: str, step_count: int) -> None:
-    """Parameter snapshot prefixed with the agent kind and training step count."""
-    kind_bytes = agent_kind.encode("utf-8")
-    header = (
-        CHECKPOINT_MAGIC
-        + np.array([len(kind_bytes)], dtype="<u4").tobytes()
-        + kind_bytes
-        + np.array([step_count], dtype="<u8").tobytes()
-    )
+    """Write ``params`` with the agent kind and training step count, atomically.
+
+    Little-endian: the magic, the u4 length of the UTF-8 kind, the kind, the
+    u8 step count, the u4 layer count, u4 rows and cols per layer, then
+    ``params.flat`` as f8 in one piece.
+    """
+    kind = agent_kind.encode("utf-8")
+    dims = [n for shape in params.shapes for n in shape]
+    header = struct.pack(f"<4sI{len(kind)}sQI{len(dims)}I", CHECKPOINT_MAGIC, len(kind), kind,
+                         step_count, len(params.shapes), *dims)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(header + params_to_bytes(params))
+    write_atomic(path, header + params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> tuple[NetworkParams, str, int]:
-    """Read a checkpoint; a malformed file raises ValueError naming ``path``."""
+    """Read a checkpoint; a malformed file raises ValueError naming ``path``.
+
+    The length the shape header implies is checked before anything is allocated.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     try:
@@ -413,13 +412,27 @@ def load_checkpoint(path) -> tuple[NetworkParams, str, int]:
         if len(buf) < 8:
             raise ValueError(f"truncated checkpoint: {len(buf)} bytes, no agent kind length")
         offset = 8 + int.from_bytes(buf[4:8], "little")
-        if len(buf) < offset + 8:
-            raise ValueError(f"truncated checkpoint: {len(buf)} bytes, header needs {offset + 8}")
+        if len(buf) < offset + 12:
+            raise ValueError(f"truncated checkpoint: {len(buf)} bytes, header needs {offset + 12}")
         kind = buf[8:offset].decode("utf-8", errors="replace")
         if kind not in AGENT_KINDS:
             raise ValueError(f"agent kind {kind!r} is not one of {AGENT_KINDS}")
-        step_count = int.from_bytes(buf[offset : offset + 8], "little")
-        params = params_from_bytes(buf[offset + 8 :])
+        step_count, n_layers = struct.unpack_from("<QI", buf, offset)
+        if n_layers == 0:
+            raise ValueError("checkpoint holds no layers")
+        body = offset + 12 + 8 * n_layers
+        if len(buf) < body:
+            raise ValueError(f"truncated checkpoint: {len(buf)} bytes, the {n_layers}-layer "
+                             f"shape header needs {body}")
+        dims = struct.unpack_from(f"<{2 * n_layers}I", buf, offset + 12)
+        shapes = list(zip(dims[::2], dims[1::2]))
+        expected = body + 8 * sum(rows * cols + rows for rows, cols in shapes)
+        if len(buf) < expected:
+            raise ValueError(f"truncated checkpoint: {len(buf)} of {expected} bytes")
+        if len(buf) > expected:
+            raise ValueError(f"trailing bytes after checkpoint: {len(buf)} of {expected}")
+        params = NetworkParams(shapes)
+        params.flat[:] = np.frombuffer(buf, dtype="<f8", offset=body)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return params, kind, step_count

@@ -426,6 +426,34 @@ class TestCmdProbe:
         assert "Reaction to the unseen critical event" in out
         assert "steps until the new event" in out
 
+    @pytest.mark.parametrize("mode", ["reaction", "adapt"])
+    def test_reads_only_the_manifest_runs(self, tmp_path, tiny_config, mode):
+        # a later run into the same directory rewrites the manifest; the first
+        # run's checkpoint stays on disk but belongs to no run the manifest names
+        out = str(tmp_path / "shared")
+        assert run("train", "--config", tiny_config, "--agent", "eg", "--seed", "0",
+                   "--out", out) == 0
+        assert run("train", "--config", tiny_config, "--agent", "vb", "--seed", "3",
+                   "--reps", "2", "--out", out) == 0
+        assert os.path.exists(os.path.join(out, "checkpoints", "eg-s0_final.ckpt"))
+        csv_path = str(tmp_path / "probes.csv")
+        adapt_flags = ["--reps", "1", "--cap", "3"] if mode == "adapt" else []
+        assert run("probe", "--checkpoints", out, "--mode", mode, *adapt_flags,
+                   "--out", csv_path) == 0
+        rows = read_csv(csv_path, ProbeRow)
+        assert [(r.run_id, r.agent) for r in rows] == [("vb-s3_final", "vb"),
+                                                       ("vb-s4_final", "vb")]
+
+    def test_other_runs_checkpoints_are_not_found(self, tmp_path, tiny_config, capsys):
+        out = str(tmp_path / "moved")
+        assert run("train", "--config", tiny_config, "--agent", "eg", "--seed", "0",
+                   "--out", out) == 0
+        manifest = Path(out, "manifest.ini")
+        manifest.write_text(manifest.read_text().replace("seed = 0", "seed = 1"))
+        assert run("probe", "--checkpoints", out, "--mode", "reaction") == 1
+        assert "no checkpoints of the runs in" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "reaction"))
+
     def test_missing_checkpoints_fail(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

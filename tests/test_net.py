@@ -13,14 +13,21 @@ from punctrl.net import (
     forward,
     forward_cached,
     gaussian_log_density,
-    params_from_bytes,
-    params_to_bytes,
     penalized_tanh,
     penalized_tanh_grad,
     reparameterize,
     sample_gaussian_head,
     split_gaussian,
 )
+
+
+def single_path_params(*weights, biases=None):
+    """A 1-1-...-1 network with the given scalar weights and biases (zero by default)."""
+    params = NetworkParams([(1, 1)] * len(weights))
+    for i, w in enumerate(weights):
+        params.weights[i][0, 0] = w
+        params.biases[i][0] = 0.0 if biases is None else biases[i]
+    return params
 
 
 class TestPenalizedTanh:
@@ -49,7 +56,7 @@ class TestActivationMatchesEngine:
     def test_helpers_equal_engine_arithmetic(self, hidden):
         rng = np.random.default_rng(31)
         params = NetworkParams.init(5, hidden, 4, rng)
-        cache = ForwardCache(params, (5,))
+        cache = ForwardCache(params)
         for _ in range(10):
             forward_cached(params, rng.standard_normal(5) * 3.0, cache)
             backward(params, cache, rng.standard_normal(4))
@@ -66,19 +73,13 @@ class TestForward:
 
     def test_hand_computed_single_path(self):
         # 1-1-1 net, unit weights, zero biases: out = tanh(0.5) for x = 0.5 > 0
-        params = NetworkParams(
-            weights=[np.array([[1.0]]), np.array([[1.0]])],
-            biases=[np.zeros(1), np.zeros(1)],
-        )
+        params = single_path_params(1.0, 1.0)
         out = forward(params, np.array([0.5]))
         assert out[0] == pytest.approx(math.tanh(0.5), abs=1e-12)
         assert out[0] == pytest.approx(0.46211715726000974, abs=1e-12)
 
     def test_negative_input_uses_penalized_branch(self):
-        params = NetworkParams(
-            weights=[np.array([[1.0]]), np.array([[1.0]])],
-            biases=[np.zeros(1), np.zeros(1)],
-        )
+        params = single_path_params(1.0, 1.0)
         out = forward(params, np.array([-0.5]))
         assert out[0] == pytest.approx(0.25 * math.tanh(-0.5), abs=1e-12)
 
@@ -102,17 +103,13 @@ class TestForward:
             with pytest.raises(ValueError):
                 forward_cached(params, bad)
 
-    def test_cache_of_another_shape_rejected(self):
+    @pytest.mark.parametrize("with_cache", [False, True])
+    def test_forward_cached_rejects_batch(self, with_cache):
         params = NetworkParams.zeros(5, (4,), 3)
-        cache = ForwardCache(params, (5,))
-        with pytest.raises(ValueError):
-            forward_cached(params, np.zeros((2, 5)), cache)
-
-    def test_backward_rejects_batch_cache(self):
-        params = NetworkParams.zeros(5, (4,), 3)
-        out, cache = forward_cached(params, np.zeros((2, 5)))
-        with pytest.raises(ValueError):
-            backward(params, cache, np.zeros(3))
+        cache = ForwardCache(params) if with_cache else None
+        for batch in (np.zeros((1, 5)), np.zeros((2, 5))):
+            with pytest.raises(ValueError, match="one input"):
+                forward_cached(params, batch, cache)
 
 
 class TestBatchedForward:
@@ -192,7 +189,7 @@ class TestEngineMatchesNaiveReference:
         online = NetworkParams.init(5, hidden, 6, rng)
         pair = TargetPair(online, tau=1e-2)
         adam = Adam(online, learning_rate=1e-2)
-        cache = ForwardCache(online, (5,))
+        cache = ForwardCache(online)
         grads = online.zeros_like()
 
         ref_online, ref_target = online.flat.copy(), online.flat.copy()
@@ -221,7 +218,7 @@ class TestBufferReuse:
     def test_reused_buffers_equal_fresh_ones(self):
         rng = np.random.default_rng(24)
         params = NetworkParams.init(5, (32, 32), 6, rng)
-        cache = ForwardCache(params, (5,))
+        cache = ForwardCache(params)
         grads = params.zeros_like()
         for _ in range(5):
             s, grad_out = rng.standard_normal(5), rng.standard_normal(6)
@@ -239,7 +236,7 @@ class TestBufferReuse:
         s, grad_out = rng.standard_normal(5), rng.standard_normal(6)
         _, cache = forward_cached(params, s)
         expected = backward(params, cache, grad_out)
-        cache = ForwardCache(params, (5,))
+        cache = ForwardCache(params)
         forward_cached(params, s, cache)
         forward(other, rng.standard_normal(5))
         forward(other, rng.standard_normal((4, 5)))
@@ -306,7 +303,7 @@ class TestBackward:
 
     def test_linear_net_hand_calculus(self):
         # single linear layer, loss = out^2: dL/dw = 2 * out * input
-        params = NetworkParams(weights=[np.array([[1.5]])], biases=[np.zeros(1)])
+        params = single_path_params(1.5)
         x = np.array([0.8])
         out, cache = forward_cached(params, x)
         grads = backward(params, cache, 2.0 * out)
@@ -332,15 +329,15 @@ class TestBackward:
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
-        params = NetworkParams(weights=[np.array([[2.0]])], biases=[np.array([1.0])])
+        params = single_path_params(2.0, biases=[1.0])
         adam = Adam(params, learning_rate=0.1)
         adam.step(params, params.zeros_like())
         assert params.weights[0][0, 0] == 2.0
         assert params.biases[0][0] == 1.0
 
     def test_first_step_magnitude_is_learning_rate(self):
-        params = NetworkParams(weights=[np.array([[0.0]])], biases=[np.zeros(1)])
-        grads = NetworkParams(weights=[np.array([[3.0]])], biases=[np.zeros(1)])
+        params = single_path_params(0.0)
+        grads = single_path_params(3.0)
         adam = Adam(params, learning_rate=0.1)
         adam.step(params, grads)
         # bias-corrected first step is -lr * sign(g) up to the epsilon sliver
@@ -349,8 +346,8 @@ class TestAdam:
 
     def test_two_step_trace_matches_hand_recurrence(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        params = NetworkParams(weights=[np.array([[0.5]])], biases=[np.zeros(1)])
-        grads = NetworkParams(weights=[np.array([[1.0]])], biases=[np.zeros(1)])
+        params = single_path_params(0.5)
+        grads = single_path_params(1.0)
         adam = Adam(params, learning_rate=lr)
 
         theta, m, v = 0.5, 0.0, 0.0
@@ -366,8 +363,8 @@ class TestAdam:
 
 class TestPolyak:
     def make_pair(self, tau):
-        online = NetworkParams(weights=[np.array([[1.0]])], biases=[np.array([1.0])])
-        target = NetworkParams(weights=[np.array([[0.0]])], biases=[np.array([0.0])])
+        online = single_path_params(1.0, biases=[1.0])
+        target = single_path_params(0.0)
         return TargetPair(online, target, tau=tau)
 
     def test_tau_one_copies_online(self):
@@ -403,29 +400,6 @@ class TestPolyak:
         assert all(np.array_equal(t, o) for t, o in zip(pair.target.arrays(), online.arrays()))
         pair.target.weights[0][0, 0] += 1.0
         assert pair.target.weights[0][0, 0] != online.weights[0][0, 0]
-
-
-class TestSerialization:
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(11)
-        params = NetworkParams.init(5, (7, 3), 6, rng)
-        loaded = params_from_bytes(params_to_bytes(params))
-        assert all(np.array_equal(a, b) for a, b in zip(params.arrays(), loaded.arrays()))
-
-    def test_header_layout_little_endian(self):
-        params = NetworkParams.zeros(2, (3,), 1)
-        buf = params_to_bytes(params)
-        assert int.from_bytes(buf[0:4], "little") == 2  # layer count
-        assert int.from_bytes(buf[4:8], "little") == 3  # first layer rows
-        assert int.from_bytes(buf[8:12], "little") == 2  # first layer cols
-        n_floats = 3 * 2 + 3 + 1 * 3 + 1
-        assert len(buf) == 4 + 2 * 8 + 8 * n_floats
-
-    def test_truncated_blob_rejected(self):
-        params = NetworkParams.zeros(2, (3,), 1)
-        buf = params_to_bytes(params)
-        with pytest.raises(ValueError):
-            params_from_bytes(buf + b"\x00" * 8)
 
 
 class TestInit:

@@ -9,6 +9,8 @@ from punctrl.sim import (
     RequestKind,
     SimConfig,
     SimCounters,
+    decode_state,
+    encode_state,
     gain_from_uniform,
     sample_channel_gain,
 )
@@ -239,6 +241,17 @@ class TestObserve:
         assert list(sim.observe()[1:3]) == [1.0, 0.0]
         sim.request = RequestKind.CRITICAL
         assert list(sim.observe()[1:3]) == [1.0, 1.0]
+
+    @pytest.mark.parametrize("slots,n", [(7, 2), (1, 3), (12, 4)])
+    def test_decode_reads_back_every_state(self, slots, n):
+        cfg = SimConfig(n_resources=n, slots_per_subframe=slots, occupy_len_min=0,
+                        occupy_len_max=slots)
+        for slot in range(slots):
+            for request in RequestKind:
+                for remaining in ([0] * n, [slots] * n, [k % (slots + 1) for k in range(n)]):
+                    s = encode_state(cfg, slot, request, remaining)
+                    assert s.shape == (cfg.state_dim,)
+                    assert decode_state(cfg, s) == (slot, request, remaining)
 
 
 class TestTrajectoryInvariants:

@@ -1,11 +1,15 @@
 import math
+import os
+import struct
+from fnmatch import fnmatch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punctrl.agents import AgentSpec
+from punctrl.agents import AGENT_KINDS, AgentSpec
+from punctrl.metrics import EpisodeRow, ProbeRow, write_csv
 from punctrl.net import NetworkParams
 from punctrl.seeding import substream
 from punctrl.sim import PuncturingSim, RequestKind, SimConfig
@@ -270,6 +274,51 @@ class TestCheckpoints:
         assert kind == "vb" and steps == 12345
         assert params_equal(params, loaded)
 
+    def test_round_trip_exact(self, tmp_path):
+        rng = np.random.default_rng(11)
+        params = NetworkParams.init(5, (7, 3), 6, rng)
+        path = tmp_path / "exact.ckpt"
+        save_checkpoint(path, params, "me", 3)
+        loaded, _, _ = load_checkpoint(path)
+        assert loaded.shapes == params.shapes
+        assert all(np.array_equal(a, b) for a, b in zip(params.arrays(), loaded.arrays()))
+
+    def test_header_layout_little_endian(self, tmp_path):
+        path = tmp_path / "layout.ckpt"
+        save_checkpoint(path, NetworkParams.zeros(2, (3,), 1), "eg", 9)
+        buf = path.read_bytes()
+        assert buf[:4] == b"PCKP" and int.from_bytes(buf[4:8], "little") == 2
+        assert buf[8:10] == b"eg" and int.from_bytes(buf[10:18], "little") == 9  # step count
+        assert int.from_bytes(buf[18:22], "little") == 2  # layer count
+        assert int.from_bytes(buf[22:26], "little") == 3  # first layer rows
+        assert int.from_bytes(buf[26:30], "little") == 2  # first layer cols
+        n_floats = 3 * 2 + 3 + 1 * 3 + 1
+        assert len(buf) == 18 + 4 + 2 * 8 + 8 * n_floats
+
+    def test_extra_float_rejected(self, tmp_path):
+        path = tmp_path / "extra.ckpt"
+        save_checkpoint(path, NetworkParams.zeros(2, (3,), 1), "eg", 0)
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(ValueError, match=str(path)):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _header(n_layers, dims, kind=b"eg"):
+        return (b"PCKP" + struct.pack("<I", len(kind)) + kind
+                + struct.pack(f"<QI{len(dims)}I", 5, n_layers, *dims))
+
+    def test_zero_layer_count_rejected(self, tmp_path):
+        path = tmp_path / "empty.ckpt"
+        path.write_bytes(self._header(0, []))
+        with pytest.raises(ValueError, match=f"{path}.*no layers"):
+            load_checkpoint(path)
+
+    def test_huge_layer_claim_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(self._header(1, [2**31, 2**31]) + b"\x00" * 64)
+        with pytest.raises(ValueError, match=f"{path}.*truncated"):
+            load_checkpoint(path)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "not.ckpt"
         path.write_bytes(b"whatever")
@@ -306,6 +355,30 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=f"{path}.*'zz'"):
             load_checkpoint(path)
 
+    def test_failed_write_keeps_previous_files(self, tmp_path, monkeypatch):
+        ckpt = tmp_path / "run.ckpt"
+        episodes = tmp_path / "episodes.csv"
+        save_checkpoint(ckpt, NetworkParams.zeros(5, (4,), 3), "eg", 1)
+        write_csv([], episodes, EpisodeRow)
+        before = ckpt.read_bytes(), episodes.read_bytes()
+        temporaries = []
+
+        def refuse(src, dst):
+            temporaries.append(os.path.basename(src))
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk gone"):
+            save_checkpoint(ckpt, NetworkParams.zeros(5, (4,), 3), "vb", 2)
+        with pytest.raises(OSError, match="disk gone"):
+            write_csv([], episodes, ProbeRow)
+        assert (ckpt.read_bytes(), episodes.read_bytes()) == before
+        assert sorted(os.listdir(tmp_path)) == ["episodes.csv", "run.ckpt"]
+        # probe and report find their inputs by these globs; a temporary must match none
+        assert len(temporaries) == 2
+        for name in temporaries:
+            assert not any(fnmatch(name, glob) for glob in ("*.ckpt", "episodes.csv", "probes.csv"))
+
     def test_train_writes_final_checkpoint(self, tmp_path):
         cfg = small_cfg(episodes=1, steps=30)
         cfg.checkpoint_dir = str(tmp_path)
@@ -323,3 +396,44 @@ class TestCheckpoints:
         assert len(result.checkpoints) == 2  # episode 2 + final
         names = [p.split("/")[-1] for p in result.checkpoints]
         assert names == ["eg-s11_ep002.ckpt", "eg-s11_final.ckpt"]
+
+
+def _values():
+    """Floats of every class: nan, infinities, signed zeros, subnormals and normals."""
+    return st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310]),
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    )
+
+
+@st.composite
+def _checkpoint_case(draw):
+    widths = draw(st.lists(st.integers(1, 9), min_size=2, max_size=5))
+    params = NetworkParams.zeros(widths[0], widths[1:-1], widths[-1])
+    params.flat[:] = draw(st.lists(_values(), min_size=params.flat.size,
+                                   max_size=params.flat.size))
+    # a nan with a payload other than the default must survive too
+    if params.flat.size and draw(st.booleans()):
+        params.flat.view(np.uint64)[0] = 0x7FF0_0000_0000_0001
+    return params, draw(st.sampled_from(AGENT_KINDS)), draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_checkpoint_case())
+def test_checkpoint_round_trip_is_bit_exact_and_every_prefix_fails(tmp_path_factory, case):
+    params, kind, step_count = case
+    tmp = tmp_path_factory.mktemp("ckpt")
+    path = tmp / "p.ckpt"
+    save_checkpoint(path, params, kind, step_count)
+    loaded, loaded_kind, loaded_steps = load_checkpoint(path)
+    assert (loaded_kind, loaded_steps, loaded.shapes) == (kind, step_count, params.shapes)
+    assert np.array_equal(loaded.flat.view(np.uint64), params.flat.view(np.uint64))
+    buf = path.read_bytes()
+    bad = tmp / "bad.ckpt"
+    for cut in range(len(buf)):
+        bad.write_bytes(buf[:cut])
+        with pytest.raises(ValueError, match=str(bad)):
+            load_checkpoint(bad)
+    bad.write_bytes(buf + b"\x01")
+    with pytest.raises(ValueError, match=f"{bad}.*trailing bytes"):
+        load_checkpoint(bad)
