@@ -73,12 +73,11 @@ class Transition:
     a: int
     r: float
     s_next: np.ndarray
-    terminal: bool = False
 
 
 def epsilon_at(step: int, total_decay_steps: int, spec: AgentSpec) -> float:
-    """Linear decay from epsilon_initial to exactly 0 at total_decay_steps."""
-    if total_decay_steps <= 0:
+    """Linear decay from epsilon_initial to exactly 0 at total_decay_steps; 0 for vb/me."""
+    if spec.kind != EG or total_decay_steps <= 0:
         return 0.0
     return max(0.0, spec.epsilon_initial * (1.0 - step / total_decay_steps))
 
@@ -116,10 +115,10 @@ def td_components(
 
     ``online_q`` are the estimates the action was chosen from (sampled ones
     for stochastic heads); the target-side maximum is treated as a constant.
+    Episodes truncate rather than end, so every transition bootstraps.
     """
     prediction = float(online_q[tr.a])
-    gamma = 0.0 if tr.terminal else spec.gamma
-    bootstrap_target = tr.r + gamma * float(np.max(target_q_next))
+    bootstrap_target = tr.r + spec.gamma * float(np.max(target_q_next))
     return prediction, bootstrap_target
 
 

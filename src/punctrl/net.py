@@ -70,8 +70,15 @@ class NetworkParams:
     __slots__ = ("flat", "shapes", "weights", "biases")
 
     def __init__(self, shapes):
-        """Zeroed parameters for layers whose weights have the (rows, cols) ``shapes``."""
+        """Zeroed parameters for chained layers whose weights have the (rows, cols) ``shapes``."""
         self.shapes = list(shapes)
+        if not self.shapes:
+            raise ValueError("the network has no layers")
+        for i, (rows, cols) in enumerate(self.shapes):
+            inputs = self.shapes[i - 1][0] if i else cols
+            if min(rows, cols) < 1 or cols != inputs:
+                raise ValueError(f"layer {i} has shape ({rows}, {cols}); it needs positive "
+                                 f"dimensions and {inputs} cols")
         total = sum(rows * cols + rows for rows, cols in self.shapes)
         self.flat = np.zeros(total)
         self.weights, self.biases = [], []

@@ -84,10 +84,6 @@ class TrainConfig:
             check_count("hidden_dims width", width, minimum=1)
         return self
 
-    @property
-    def total_decay_steps(self) -> int:
-        return int(self.agent.epsilon_decay_fraction * self.episodes * self.steps_per_episode)
-
 
 def format_run_id(kind: str, seed: int) -> str:
     """Name of one run in episode rows and checkpoint file names."""
@@ -158,15 +154,39 @@ def loss_and_grads(spec, online, target, head_out, cache, noise, tr, grads) -> f
     return loss
 
 
-def _learn_step(spec, pair, adam, head_out, cache, noise, tr, grads) -> float:
-    """One gradient/Polyak update on a single transition; returns the loss.
+class Learner:
+    """The online DQN update that training and the adaptation probe both run.
 
-    ``grads`` is the run's gradient buffer, overwritten by every step.
+    Owns the online/target pair, the optimizer and the buffers every step
+    refills. ``act`` keeps the head output and noise that the next ``learn``
+    replays; ``label`` names the run in a divergence error.
     """
-    loss = loss_and_grads(spec, pair.online, pair.target, head_out, cache, noise, tr, grads)
-    adam.step(pair.online, grads)
-    pair.polyak_update()
-    return loss
+
+    def __init__(self, spec: AgentSpec, online: NetworkParams, cfg: TrainConfig, label: str):
+        self.spec = spec
+        self.label = label
+        self.pair = TargetPair(online, tau=cfg.target_tau)
+        self.adam = Adam(online, cfg.learning_rate)
+        self.cache = ForwardCache(online)
+        self.grads = online.zeros_like()
+        self.head_out = self.noise = None
+
+    def act(self, s, rng: np.random.Generator, epsilon: float = 0.0) -> int:
+        self.head_out, _ = forward_cached(self.pair.online, s, self.cache)
+        action, self.noise = select_action(self.spec, self.head_out, rng, epsilon)
+        return action
+
+    def learn(self, tr: Transition) -> None:
+        """One gradient step and Polyak update on ``tr``, the transition of the last act."""
+        pair = self.pair
+        loss = loss_and_grads(self.spec, pair.online, pair.target, self.head_out, self.cache,
+                              self.noise, tr, self.grads)
+        if not math.isfinite(loss):
+            raise TrainingDiverged(
+                f"non-finite loss at update {self.adam.step_count + 1} ({self.label})"
+            )
+        self.adam.step(pair.online, self.grads)
+        pair.polyak_update()
 
 
 def _episode_row(kind: str, seed: int, env: PuncturingSim, episode: int, sum_reward: float,
@@ -202,47 +222,29 @@ def train(cfg: TrainConfig, initial_params: NetworkParams | None = None) -> RunR
         online = build_network(cfg, substream(cfg.seed, STREAM_NET_INIT))
     else:
         online = initial_params.copy()
-    pair = TargetPair(online, tau=cfg.target_tau)
-    adam = Adam(online, cfg.learning_rate)
-    # per-run buffers that every step refills
-    cache = ForwardCache(online)
-    grads = online.zeros_like()
-    tr = Transition(None, 0, 0.0, None, terminal=False)
-
-    total_decay = cfg.total_decay_steps
+    learner = Learner(spec, online, cfg, run_id)
+    tr = Transition(None, 0, 0.0, None)
+    decay_steps = int(spec.epsilon_decay_fraction * cfg.episodes * cfg.steps_per_episode)
     rows = []
     checkpoints = []
-    global_step = 0
-    is_eg = spec.kind == EG
 
     for episode in range(1, cfg.episodes + 1):
         obs = env.reset()
         sum_reward = 0.0
-        epsilon = 0.0
         for _ in range(cfg.steps_per_episode):
-            if is_eg:
-                epsilon = epsilon_at(global_step, total_decay, spec)
-            head_out, _ = forward_cached(online, obs, cache)
-            action, noise = select_action(spec, head_out, action_rng, epsilon)
+            epsilon = epsilon_at(learner.adam.step_count, decay_steps, spec)
+            action = learner.act(obs, action_rng, epsilon)
             r_total = env.step(action)
             obs_next = env.observe()
             tr.s, tr.a, tr.r, tr.s_next = obs, action, r_total, obs_next
-            loss = _learn_step(spec, pair, adam, head_out, cache, noise, tr, grads)
-            if not math.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite loss at episode {episode}, step {global_step} "
-                    f"({run_id})"
-                )
+            learner.learn(tr)
             sum_reward += r_total
             obs = obs_next
-            global_step += 1
         if not online.all_finite():
             raise TrainingDiverged(
                 f"non-finite parameters after episode {episode} ({run_id})"
             )
-        rows.append(
-            _episode_row(spec.kind, cfg.seed, env, episode, sum_reward, epsilon if is_eg else 0.0)
-        )
+        rows.append(_episode_row(spec.kind, cfg.seed, env, episode, sum_reward, epsilon))
         if (
             cfg.checkpoint_dir
             and cfg.checkpoint_every > 0
@@ -250,14 +252,15 @@ def train(cfg: TrainConfig, initial_params: NetworkParams | None = None) -> RunR
             and episode < cfg.episodes
         ):
             path = os.path.join(cfg.checkpoint_dir, f"{run_id}_ep{episode:03d}.ckpt")
-            save_checkpoint(path, online, spec.kind, global_step)
+            save_checkpoint(path, online, spec.kind, learner.adam.step_count)
             checkpoints.append(path)
 
     if cfg.checkpoint_dir:
         path = os.path.join(cfg.checkpoint_dir, f"{run_id}_final.ckpt")
-        save_checkpoint(path, online, spec.kind, global_step)
+        save_checkpoint(path, online, spec.kind, learner.adam.step_count)
         checkpoints.append(path)
-    return RunResult(run_id, spec.kind, cfg.seed, rows, online, global_step, checkpoints)
+    return RunResult(run_id, spec.kind, cfg.seed, rows, online, learner.adam.step_count,
+                     checkpoints)
 
 
 MANUAL = "manual"
@@ -344,7 +347,7 @@ def probe_transition(sim_cfg: SimConfig) -> Transition:
     r = sim_cfg.w_capacity * r_capacity + sim_cfg.w_discard_critical * (-1.0)
     slots = sim_cfg.slots_per_subframe
     s_next = encode_state(sim_cfg, 1, RequestKind.NONE, [slots - 1] * sim_cfg.n_resources)
-    return Transition(s, 0, r, s_next, terminal=False)
+    return Transition(s, 0, r, s_next)
 
 
 def probe_adaptation(
@@ -364,20 +367,12 @@ def probe_adaptation(
     ``punctrl probe`` computes it once per checkpoint and repeats it.
     """
     check_count("cap", cap, minimum=1)
-    online = params.copy()
-    pair = TargetPair(online, tau=cfg.target_tau)
-    adam = Adam(online, cfg.learning_rate)
+    learner = Learner(spec, params.copy(), cfg, "adaptation probe")
     tr = probe_transition(cfg.sim)
-    cache = ForwardCache(online)
-    grads = online.zeros_like()
     for count in range(1, cap + 1):
-        head_out, _ = forward_cached(online, tr.s, cache)
-        action, noise = select_action(spec, head_out, rng, epsilon=0.0)
-        if action != 0:
+        if learner.act(tr.s, rng) != 0:
             return count
-        loss = _learn_step(spec, pair, adam, head_out, cache, noise, tr, grads)
-        if not math.isfinite(loss):
-            raise TrainingDiverged(f"non-finite loss during adaptation probe at step {count}")
+        learner.learn(tr)
     return cap
 
 
@@ -418,8 +413,6 @@ def load_checkpoint(path) -> tuple[NetworkParams, str, int]:
         if kind not in AGENT_KINDS:
             raise ValueError(f"agent kind {kind!r} is not one of {AGENT_KINDS}")
         step_count, n_layers = struct.unpack_from("<QI", buf, offset)
-        if n_layers == 0:
-            raise ValueError("checkpoint holds no layers")
         body = offset + 12 + 8 * n_layers
         if len(buf) < body:
             raise ValueError(f"truncated checkpoint: {len(buf)} bytes, the {n_layers}-layer "

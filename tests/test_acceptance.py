@@ -223,7 +223,6 @@ class TestCriterion4GradientOracle:
                 int(rng.integers(0, n_actions)),
                 float(rng.standard_normal()),
                 rng.standard_normal(4),
-                terminal=False,
             )
             _, analytic = self.loss_grads(params, target_params, tr, spec, noise)
             numeric = self.fd_grads(params, target_params, tr, spec, noise)
@@ -290,7 +289,7 @@ class TestCriterion6VbReduction:
             q = reparameterize(mu, log_sigma, noise)
             action = int(rng.integers(0, 3))
             # zero TD error isolates the density term
-            tr = Transition(None, action, float(q[action]), None, terminal=True)
+            tr = Transition(None, action, float(q[action]), None)
             head_out = np.concatenate([mu, log_sigma])
             _, grad_out = loss_and_output_grad(spec, head_out, noise, tr, np.zeros(3))
             grad_mu, grad_ls = grad_out[:3], grad_out[3:]
@@ -307,7 +306,7 @@ class TestCriterion7MePenaltyMinimizer:
         rng = np.random.default_rng(12)
         log_sigma = np.full(3, -40.0)
         noise = np.zeros(3)
-        tr = Transition(None, 0, 0.0, None, terminal=True)
+        tr = Transition(None, 0, 0.0, None)
         worst = 0.0
         for _ in range(100):
             mu = rng.standard_normal(3)

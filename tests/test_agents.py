@@ -36,8 +36,8 @@ def me_args(mu, log_sigma, noise):
 
 
 def td_only_transition(action, bootstrap_target):
-    """A terminal transition: its bootstrap target is exactly its reward."""
-    return Transition(None, action, bootstrap_target, None, terminal=True)
+    """A transition whose bootstrap target is its reward, against all-zero target estimates."""
+    return Transition(None, action, bootstrap_target, None)
 
 
 class TestEpsilonSchedule:
@@ -55,6 +55,10 @@ class TestEpsilonSchedule:
         assert epsilon_at(TABLE_DECAY_STEPS // 2, TABLE_DECAY_STEPS, self.spec) == pytest.approx(
             0.495
         )
+
+    def test_zero_for_gaussian_kinds(self):
+        for kind in (VB, ME):
+            assert epsilon_at(0, TABLE_DECAY_STEPS, AgentSpec(kind=kind)) == 0.0
 
     def test_monotone_non_increasing(self):
         values = [epsilon_at(t, 100, self.spec) for t in range(0, 140)]
@@ -105,7 +109,7 @@ class TestSelectAction:
 class TestTdComponents:
     def test_perfect_estimate_gives_zero_loss(self):
         spec = AgentSpec(kind=EG)
-        tr = Transition(None, 1, 1.0, None, terminal=False)
+        tr = Transition(None, 1, 1.0, None)
         q = np.array([0.0, 1.0 + 0.99 * 2.0, 0.0])
         pred, boot = td_components(spec, q, np.array([2.0, 1.0]), tr)
         assert pred == boot
@@ -113,15 +117,9 @@ class TestTdComponents:
 
     def test_discounted_bootstrap_arithmetic(self):
         spec = AgentSpec(kind=EG, gamma=0.99)
-        tr = Transition(None, 0, -5.0, None, terminal=False)
+        tr = Transition(None, 0, -5.0, None)
         _, boot = td_components(spec, np.zeros(3), np.array([10.0, 3.0, -1.0]), tr)
         assert boot == pytest.approx(4.9, abs=1e-12)
-
-    def test_terminal_skips_bootstrap(self):
-        spec = AgentSpec(kind=EG)
-        tr = Transition(None, 0, 1.0, None, terminal=True)
-        _, boot = td_components(spec, np.zeros(3), np.array([100.0]), tr)
-        assert boot == 1.0
 
 
 class TestLossEg:
@@ -313,7 +311,7 @@ class TestFullLossGradients:
         s = rng.standard_normal(4)
         s_next = rng.standard_normal(4)
         noise = rng.standard_normal(n_actions) if kind != EG else None
-        tr = Transition(s, int(rng.integers(0, n_actions)), 0.7, s_next, terminal=False)
+        tr = Transition(s, int(rng.integers(0, n_actions)), 0.7, s_next)
 
         _, analytic = loss_grads(params, target_params, tr, spec, noise)
         numeric = fd_loss_grads(params, target_params, tr, spec, noise)

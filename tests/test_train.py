@@ -101,13 +101,6 @@ class TestTrain:
         cfg_vb = small_cfg(kind="vb", episodes=1, steps=50)
         assert train(cfg_vb).episodes[0].epsilon_end == 0.0
 
-    def test_divergence_aborts_with_diagnostic(self):
-        cfg = small_cfg(episodes=1, steps=10)
-        poisoned = build_network(cfg, substream(cfg.seed, "net-init"))
-        poisoned.weights[0][0, 0] = math.nan
-        with pytest.raises(TrainingDiverged):
-            train(cfg, initial_params=poisoned)
-
     def test_run_id_and_rows(self):
         cfg = small_cfg(kind="me", episodes=3, steps=30, seed=77)
         result = train(cfg)
@@ -237,6 +230,20 @@ class TestProbeAdaptation:
                   for seed in seeds]
         assert counts == [expected, expected]
 
+    # a Gaussian head explores by sampling, so its count depends on the stream;
+    # the wait mean leads by 1 at small variance until learning lowers it
+    @pytest.mark.parametrize("kind, expected", [
+        ("vb", [83, 82, 74, 83, 89, 90]),
+        ("me", [54, 52, 56, 57, 58, 54]),
+    ])
+    def test_gaussian_counts_pinned(self, kind, expected):
+        cfg = TrainConfig(agent=AgentSpec(kind=kind), learning_rate=1e-2)
+        params = NetworkParams.zeros(5, (4,), 6)
+        params.biases[-1][:] = [1.0, 0.0, 0.0, -3.0, -3.0, -3.0]
+        counts = [probe_adaptation(params, cfg.agent, cfg, np.random.default_rng(seed), cap=500)
+                  for seed in range(6)]
+        assert counts == expected
+
     def test_probe_transition_matches_simulator(self):
         # cross-module oracle: a manually prepared simulator state at the mean
         # gain 2 sigma^2 must yield the reward and successor the probe constructs
@@ -262,6 +269,19 @@ class TestProbeAdaptation:
         cfg = TrainConfig(agent=AgentSpec(kind="me"), sim=sim_cfg)
         probe_adaptation(params, cfg.agent, cfg, np.random.default_rng(5), cap=20)
         assert params_equal(params, before)
+
+
+@pytest.mark.parametrize("caller, label", [
+    (lambda cfg, params: train(cfg, initial_params=params), "eg-s11"),
+    (lambda cfg, params: probe_adaptation(params, cfg.agent, cfg, np.random.default_rng(0)),
+     "adaptation probe"),
+], ids=["train", "probe"])
+def test_divergence_names_the_caller(caller, label):
+    cfg = small_cfg(episodes=1, steps=10)
+    poisoned = build_network(cfg, substream(cfg.seed, "net-init"))
+    poisoned.weights[0][0, 0] = math.nan
+    with pytest.raises(TrainingDiverged, match=f"update 1 \\({label}\\)"):
+        caller(cfg, poisoned)
 
 
 class TestCheckpoints:
@@ -311,6 +331,19 @@ class TestCheckpoints:
         path = tmp_path / "empty.ckpt"
         path.write_bytes(self._header(0, []))
         with pytest.raises(ValueError, match=f"{path}.*no layers"):
+            load_checkpoint(path)
+
+    def test_unchained_layers_rejected_with_path(self, tmp_path):
+        path = tmp_path / "unchained.ckpt"
+        n_floats = 3 * 5 + 3 + 6 * 4 + 6
+        path.write_bytes(self._header(2, [3, 5, 6, 4]) + b"\x00" * (8 * n_floats))
+        with pytest.raises(ValueError, match=f"{path}.*layer 1 has shape \\(6, 4\\).* 3 cols"):
+            load_checkpoint(path)
+
+    def test_empty_layer_rejected_with_path(self, tmp_path):
+        path = tmp_path / "empty_layer.ckpt"
+        path.write_bytes(self._header(1, [0, 5]))
+        with pytest.raises(ValueError, match=f"{path}.*layer 0 has shape \\(0, 5\\)"):
             load_checkpoint(path)
 
     def test_huge_layer_claim_rejected_before_allocating(self, tmp_path):
