@@ -131,21 +131,24 @@ def loss_eg(prediction: float, bootstrap_target: float) -> tuple[float, float]:
 def loss_vb(spec: AgentSpec, q, mu, log_sigma, sigma, noise):
     """Weighted sum of the log densities of the sampled q = mu + sigma * noise.
 
-    Returns (loss, grad_mu, grad_log_sigma) of this regularizer alone. The
-    gradient goes through the full chain rule: the density's direct (mu,
-    log_sigma) arguments plus the reparameterization path of q. At the
-    sample those contributions cancel to exactly 0 for mu and -1 for
-    log_sigma, which is what keeps the variance from collapsing.
+    Returns (loss, grad_mu, grad_log_sigma) of this regularizer alone, the
+    gradients as lists. The gradient goes through the full chain rule: the
+    density's direct (mu, log_sigma) arguments plus the reparameterization
+    path of q. At the sample those contributions cancel to exactly 0 for mu
+    and -1 for log_sigma, which is what keeps the variance from collapsing.
     """
-    loss = spec.w_lp * float(np.sum(gaussian_log_density(q, mu, log_sigma)))
-    dev = q - mu
-    inv_var = np.exp(-2.0 * log_sigma)
-    # direct partials of the density and the reparameterization path
-    dlp_dq = -dev * inv_var
-    dlp_dmu = dev * inv_var
-    dlp_dls = -1.0 + dev * dev * inv_var
-    grad_mu = spec.w_lp * (dlp_dmu + dlp_dq)  # dq/dmu = 1
-    grad_ls = spec.w_lp * (dlp_dls + dlp_dq * (sigma * noise))
+    w = spec.w_lp
+    loss = w * float(np.sum(gaussian_log_density(q, mu, log_sigma)))
+    # per action on Python floats, whose IEEE results equal numpy's without
+    # its cost per call; np.exp and np.sum round and order as before
+    grad_mu, grad_ls = [], []
+    for qi, mi, si, ni, inv_var in zip(q.tolist(), mu.tolist(), sigma.tolist(), noise.tolist(),
+                                       np.exp(-2.0 * log_sigma).tolist()):
+        dev = qi - mi
+        # direct partials of the density and the reparameterization path
+        dlp_dq = -dev * inv_var
+        grad_mu.append(w * (dev * inv_var + dlp_dq))  # dq/dmu = 1
+        grad_ls.append(w * (-1.0 + dev * dev * inv_var + dlp_dq * (si * ni)))
     return loss, grad_mu, grad_ls
 
 
@@ -167,16 +170,20 @@ def softmax_clipped(q: np.ndarray, clip_low: float) -> np.ndarray:
 def loss_me(spec: AgentSpec, q, sigma, noise):
     """Weighted sum of the log softmax values of the sampled q.
 
-    Returns (loss, grad_mu, grad_log_sigma) of this penalty alone. In the
-    default ``uniform_prior`` mode the sum is subtracted, making the penalty
-    smallest at a uniform softmax; ``as_written`` adds it instead. Components
-    clamped by the softmax clip contribute no gradient.
+    Returns (loss, grad_mu, grad_log_sigma) of this penalty alone, the
+    gradients as lists. In the default ``uniform_prior`` mode the sum is
+    subtracted, making the penalty smallest at a uniform softmax;
+    ``as_written`` adds it instead. Components clamped by the softmax clip
+    contribute no gradient.
     """
     weight = (-1.0 if spec.me_sign == SIGN_UNIFORM_PRIOR else 1.0) * spec.w_me
-    sm_raw = _softmax(q)
-    loss = weight * float(np.sum(np.log(np.clip(sm_raw, spec.softmax_clip_low, 1.0))))
-    unclamped = sm_raw >= spec.softmax_clip_low
-    k = float(np.sum(unclamped))
+    low = spec.softmax_clip_low
+    # per action on Python floats, as in loss_vb; np.log and np.sum stay numpy
+    sm_raw = _softmax(q).tolist()
+    loss = weight * float(np.sum(np.log([min(max(s, low), 1.0) for s in sm_raw])))
+    unclamped = [s >= low for s in sm_raw]
+    k = float(sum(unclamped))
     # d/dq_j sum_{i unclamped} log sm_i = [j unclamped] - k * sm_j
-    grad_mu = weight * (unclamped.astype(float) - k * sm_raw)
-    return loss, grad_mu, grad_mu * sigma * noise
+    grad_mu = [weight * (float(u) - k * s) for u, s in zip(unclamped, sm_raw)]
+    grad_ls = [g * si * ni for g, si, ni in zip(grad_mu, sigma.tolist(), noise.tolist())]
+    return loss, grad_mu, grad_ls

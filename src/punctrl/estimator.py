@@ -20,6 +20,9 @@ from .validation import check_state_matrix
 # rows per batched forward pass in DqnScheduler.decision_function
 PREDICT_BLOCK_ROWS = 1024
 
+# odd multiplier of the row-key mix (2**64 / golden ratio)
+_KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
 # TrainConfig holders whose fields are flat estimator parameters
 HOLDERS = {"agent": AgentSpec, "sim": SimConfig}
 
@@ -58,6 +61,42 @@ def _derived_init(holders, learner: bool):
 
     __init__.__signature__ = signature
     return __init__
+
+
+def _row_keys(bits: np.ndarray) -> np.ndarray:
+    """One uint64 key per row of ``bits``; equal rows get equal keys.
+
+    Each column is folded in by xor, an odd multiply and an xorshift, each a
+    bijection, so rows that differ in one column never share a key.
+    """
+    key = np.zeros(bits.shape[0], dtype=np.uint64)
+    for column in bits.T:
+        key ^= column
+        key *= _KEY_MULTIPLIER
+        key ^= key >> np.uint64(29)
+    return key
+
+
+def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) for the distinct rows of a 2-D float array.
+
+    ``X[first]`` holds each distinct row once, in the order of first
+    appearance, and ``X[first][inverse]`` equals X byte for byte. Rows are
+    the same only when their bytes are, so 0.0 and -0.0 stay apart. Rows are
+    grouped by a 64-bit key and the grouping is then checked against the
+    rows themselves; if two different rows share a key, an exact row-wise
+    np.unique groups them instead.
+    """
+    bits = X.view(np.uint64)
+    _, first, inverse = np.unique(_row_keys(bits), return_index=True, return_inverse=True)
+    if not all(np.array_equal(column[first][inverse], column) for column in bits.T):
+        _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    # number the groups in order of first appearance, so rows that are all
+    # distinct reach the network in their own order and blocks
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse.reshape(-1)]
 
 
 class ParamsProtocolMixin:
@@ -118,20 +157,23 @@ class DqnScheduler(ParamsProtocolMixin):
     def decision_function(self, X) -> np.ndarray:
         """Per-action value estimates (the Gaussian heads report their means).
 
-        Rows go through the network PREDICT_BLOCK_ROWS at a time, so memory
-        stays bounded for any number of rows. The values agree with one
-        forward pass per row up to rounding.
+        Each distinct row goes through the network once, in the order of
+        first appearance and PREDICT_BLOCK_ROWS rows at a time, and its
+        values are copied to every row equal to it, so equal rows get equal
+        values. The values agree with one forward pass per row up to
+        rounding.
         """
         self._check_fitted()
         sim = self._train_config().sim
         X = check_state_matrix(X, sim.state_dim)
+        first, inverse = distinct_rows(X)
         deterministic = self.agent == EG
-        values = np.empty((X.shape[0], sim.n_actions))
-        for start in range(0, X.shape[0], PREDICT_BLOCK_ROWS):
+        values = np.empty((first.shape[0], sim.n_actions))
+        for start in range(0, first.shape[0], PREDICT_BLOCK_ROWS):
             stop = start + PREDICT_BLOCK_ROWS
-            out = forward(self.params_, X[start:stop])
+            out = forward(self.params_, X[first[start:stop]])
             values[start:stop] = out if deterministic else split_gaussian(out)[0]
-        return values
+        return values[inverse]
 
     def predict(self, X) -> np.ndarray:
         """Greedy action per state vector."""
@@ -157,11 +199,12 @@ class ManualScheduler(ParamsProtocolMixin):
         return self
 
     def predict(self, X) -> np.ndarray:
-        """Heuristic action per state vector, decoded from the observation."""
+        """Heuristic action per state vector, decoded once per distinct row."""
         sim = self._train_config().sim
         X = check_state_matrix(X, sim.state_dim)
-        actions = np.empty(X.shape[0], dtype=int)
-        for i, s in enumerate(X):
-            _, request, remaining = decode_state(sim, s)
+        first, inverse = distinct_rows(X)
+        actions = np.empty(first.shape[0], dtype=int)
+        for i, row in enumerate(first):
+            _, request, remaining = decode_state(sim, X[row])
             actions[i] = manual_action(remaining, request)
-        return actions
+        return actions[inverse]

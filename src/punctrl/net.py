@@ -303,7 +303,10 @@ class Adam:
         v += buf
         # update = scale * m / (sqrt(v) / root_bc2 + eps), assembled in place
         np.sqrt(v, out=buf)
-        buf /= root_bc2
+        # 1 - beta2**t rounds to exactly 1.0 from some step on (37 412 at
+        # beta2 = 0.999), and dividing by 1.0 changes no value
+        if root_bc2 != 1.0:
+            buf /= root_bc2
         buf += self.epsilon
         np.divide(m, buf, out=buf)
         buf *= scale

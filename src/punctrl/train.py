@@ -136,7 +136,7 @@ def loss_and_output_grad(spec, head_out, noise, tr, target_q):
         loss_reg, grad_mu, grad_ls = loss_me(spec, q, sigma, noise)
     grad_mu[tr.a] += grad_pred
     grad_ls[tr.a] += grad_pred * sigma[tr.a] * noise[tr.a]
-    return loss + loss_reg, np.concatenate([grad_mu, grad_ls])
+    return loss + loss_reg, np.array(grad_mu + grad_ls)
 
 
 def loss_and_grads(spec, online, target, head_out, cache, noise, tr, grads) -> float:

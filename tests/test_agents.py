@@ -237,7 +237,7 @@ class TestLossMe:
         l_up, g_up, _ = loss_me(up, *me_args(mu, log_sigma, noise))
         l_aw, g_aw, _ = loss_me(aw, *me_args(mu, log_sigma, noise))
         assert l_up == pytest.approx(-l_aw, abs=1e-9)
-        assert np.allclose(g_up, -g_aw, atol=1e-9)
+        assert np.allclose(g_up, np.negative(g_aw), atol=1e-9)
 
     def test_uniform_prior_descent_reaches_uniform(self):
         # penalty-only gradient descent from random starts lands on uniform softmax

@@ -1,11 +1,39 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from punctrl import estimator
 from punctrl.config import SCHEMA, load_config
-from punctrl.estimator import PREDICT_BLOCK_ROWS, DqnScheduler, ManualScheduler
-from punctrl.net import forward
-from punctrl.sim import SimConfig
-from punctrl.train import TrainConfig, manual_baseline
+from punctrl.estimator import PREDICT_BLOCK_ROWS, DqnScheduler, ManualScheduler, distinct_rows
+from punctrl.net import forward, split_gaussian
+from punctrl.sim import SimConfig, decode_state
+from punctrl.train import TrainConfig, manual_action, manual_baseline
+
+# sha256 of decision_function over every reference state, in every_state
+# order, computed while every row still went through the network
+REFERENCE_STATE_PINS = {
+    "eg": "35cb28a93db3101e23a5332f6710202e496d882a2dc4d7c5ff7472a66689d361",
+    "vb": "4fc15a504bd4d08e4b170d35a30bf9fc02ea6ae86721bdc7d8d17efdc952c9ad",
+}
+
+
+def reference_scheduler(agent):
+    """A briefly fitted scheduler with the reference network widths."""
+    return DqnScheduler(agent=agent, episodes=1, steps_per_episode=200, seed=11).fit()
+
+
+def undeduplicated_values(est, X):
+    """Every row of X through the network, PREDICT_BLOCK_ROWS at a time."""
+    values = []
+    for start in range(0, X.shape[0], PREDICT_BLOCK_ROWS):
+        out = forward(est.params_, X[start:start + PREDICT_BLOCK_ROWS])
+        values.append(out if est.agent == "eg" else split_gaussian(out)[0])
+    return np.concatenate(values)
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def tiny_scheduler(**overrides):
@@ -103,6 +131,41 @@ class TestDqnScheduler:
         assert np.allclose(values, rows, rtol=1e-12, atol=1e-14)
         assert np.array_equal(est.predict(X), np.argmax(rows, axis=1))
 
+    @pytest.mark.parametrize("agent", ["eg", "vb"])
+    def test_repeated_shuffled_rows_match_undeduplicated(self, agent):
+        # ~1610 distinct rows among 5000: both evaluations cross block
+        # boundaries, and every block, deduplicated or not, holds over 512
+        # rows; for smaller matrices the BLAS may pick a kernel that rounds
+        # differently
+        est = reference_scheduler(agent)
+        rng = np.random.default_rng(12)
+        rows = rng.uniform(0, 1, size=(1700, 5))
+        X = rows[rng.integers(0, rows.shape[0], 5000)]
+        first, _ = distinct_rows(X)
+        assert first.shape[0] % PREDICT_BLOCK_ROWS > 512
+        assert X.shape[0] % PREDICT_BLOCK_ROWS > 512
+        assert same_bytes(est.decision_function(X), undeduplicated_values(est, X))
+
+    def test_signed_zero_rows_evaluated_apart(self):
+        est = reference_scheduler("vb")
+        rng = np.random.default_rng(13)
+        rows = rng.uniform(0, 1, size=(300, 5))
+        rows[:, 2] = 0.0
+        flipped = rows.copy()
+        flipped[:, 2] = -0.0
+        X = np.concatenate([rows, flipped, rows])[rng.permutation(900)]
+        first, inverse = distinct_rows(X)
+        assert first.shape[0] == 600
+        assert same_bytes(X[first][inverse], X)
+        assert same_bytes(est.decision_function(X), undeduplicated_values(est, X))
+
+    @pytest.mark.parametrize("agent", ["eg", "vb"])
+    def test_reference_states_pinned(self, agent, every_state):
+        values = reference_scheduler(agent).decision_function(every_state(SimConfig()))
+        assert values.shape == (1344, 3)
+        digest = hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes())
+        assert digest.hexdigest() == REFERENCE_STATE_PINS[agent]
+
     def test_bad_feature_count_rejected(self):
         est = tiny_scheduler().fit()
         with pytest.raises(ValueError):
@@ -117,6 +180,33 @@ class TestDqnScheduler:
         a = tiny_scheduler().fit()
         b = tiny_scheduler().fit()
         assert [r.sum_reward for r in a.history_] == [r.sum_reward for r in b.history_]
+
+
+class TestDistinctRows:
+    def test_rebuilds_rows_bytewise(self):
+        rng = np.random.default_rng(14)
+        rows = rng.integers(0, 4, size=(40, 3)) / 3
+        X = rows[rng.integers(0, 40, 500)]
+        first, inverse = distinct_rows(X)
+        assert same_bytes(X[first][inverse], X)
+        assert first.shape[0] == np.unique(X, axis=0).shape[0]
+
+    def test_no_rows(self):
+        first, inverse = distinct_rows(np.empty((0, 5)))
+        assert first.shape == inverse.shape == (0,)
+
+    def test_key_collision_falls_back_to_exact_grouping(self, monkeypatch):
+        est = reference_scheduler("vb")
+        rng = np.random.default_rng(15)
+        X = rng.uniform(0, 1, size=(400, 5))[rng.integers(0, 400, 1000)]
+        expected_first, _ = distinct_rows(X)
+        expected = est.decision_function(X)
+        # every row gets the same key, so the grouping check must fail
+        monkeypatch.setattr(estimator, "_row_keys", lambda bits: np.zeros(bits.shape[0], np.uint64))
+        first, inverse = distinct_rows(X)
+        assert first.shape == expected_first.shape
+        assert same_bytes(X[first][inverse], X)
+        assert same_bytes(est.decision_function(X), expected)
 
 
 class TestManualScheduler:
@@ -136,6 +226,21 @@ class TestManualScheduler:
         ]
         X = np.array([s for s, _ in cases])
         assert list(est.predict(X)) == [a for _, a in cases]
+
+    @pytest.mark.parametrize("sim", [
+        SimConfig(),
+        SimConfig(n_resources=3, slots_per_subframe=4, occupy_len_min=1, occupy_len_max=3),
+    ], ids=["reference", "3x4"])
+    def test_every_state_duplicated_shuffled(self, sim, every_state):
+        states = every_state(sim)
+        X = states[np.random.default_rng(16).integers(0, states.shape[0], 3 * states.shape[0])]
+        expected = []
+        for s in X:
+            _, request, remaining = decode_state(sim, s)
+            expected.append(manual_action(remaining, request))
+        est = ManualScheduler(**{k: getattr(sim, k) for k in ("n_resources", "slots_per_subframe",
+                                                               "occupy_len_min", "occupy_len_max")})
+        assert est.predict(X).tolist() == expected
 
     def test_fit_populates_history(self):
         est = ManualScheduler(episodes=2, steps_per_episode=50, seed=3).fit()

@@ -9,6 +9,7 @@ density is now evaluated in standardized form, so it is compared with a
 tight tolerance instead.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,16 @@ from punctrl.net import reparameterize, split_gaussian
 from punctrl.train import loss_and_output_grad
 
 DRAWS = 250
+PIN_DRAWS = 2000
+
+# sha256 over PIN_DRAWS seeded draws of each spec's loss and output-gradient
+# bytes, computed while the loss arithmetic still ran on numpy arrays
+OUTPUT_PINS = {
+    "eg-uniform_prior": "6791a5d4e376f77db6d647369329a65d86f05f74f197bc29860f6e0407fb9352",
+    "vb-uniform_prior": "50cc56015b971e248ab9d479ac1c216eed67ce4b82149d6d33f166e9abc97651",
+    "me-uniform_prior": "9b4ad554067bc20a1be750706290208a9359e426f3e0bd68e6536d4c38c8ec79",
+    "me-as_written": "9adb114f0da4b2036842b6f57bfdd0464926b1ca8af8bfaee9d4dd45b87d15c9",
+}
 
 
 def reference_loss_vb(prediction, bootstrap_target, action, mu, log_sigma, noise, spec):
@@ -134,3 +145,14 @@ def test_matches_reference_formulas(spec):
     # the draws reach the softmax clip
     if spec.kind != EG:
         assert clamped >= DRAWS // 10
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.me_sign}")
+def test_outputs_pinned(spec):
+    rng = np.random.default_rng(47)
+    digest = hashlib.sha256()
+    for _ in range(PIN_DRAWS):
+        loss, grad = loss_and_output_grad(spec, *random_case(spec, rng))
+        digest.update(np.float64(loss).tobytes())
+        digest.update(np.asarray(grad, dtype="<f8").tobytes())
+    assert digest.hexdigest() == OUTPUT_PINS[f"{spec.kind}-{spec.me_sign}"]

@@ -361,6 +361,31 @@ class TestAdam:
             assert params.weights[0][0, 0] == pytest.approx(theta, abs=1e-15)
 
 
+    @pytest.mark.parametrize("t", [37_411, 37_412, 37_500])
+    def test_late_steps_match_formula_with_divide(self, t):
+        # 1 - 0.999**t first rounds to exactly 1.0 at t = 37 412, where the
+        # step stops dividing by its square root
+        assert (math.sqrt(1.0 - 0.999**t) == 1.0) == (t >= 37_412)
+        rng = np.random.default_rng(t)
+        params = NetworkParams.init(5, (16,), 6, rng)
+        size = params.flat.size
+        adam = Adam(params, learning_rate=1e-2)
+        ref = NaiveAdam(size, 1e-2)
+        adam.step_count = ref.t = t - 1
+        adam.first_moment[:] = ref.m = rng.standard_normal(size)
+        adam.second_moment[:] = ref.v = rng.uniform(0.0, 4.0, size)
+        adam.second_moment[:3] = ref.v[:3] = 0.0
+        grads = params.zeros_like()
+        grads.flat[:] = rng.standard_normal(size)
+        grads.flat[:2] = 0.0
+        expected = ref.step(params.flat.copy(), grads.flat)
+        adam.step(params, grads)
+        assert adam.step_count == t
+        assert params.flat.tobytes() == expected.tobytes()
+        assert adam.first_moment.tobytes() == ref.m.tobytes()
+        assert adam.second_moment.tobytes() == ref.v.tobytes()
+
+
 class TestPolyak:
     def make_pair(self, tau):
         online = single_path_params(1.0, biases=[1.0])

@@ -242,6 +242,21 @@ class TestObserve:
         sim.request = RequestKind.CRITICAL
         assert list(sim.observe()[1:3]) == [1.0, 1.0]
 
+    def test_reference_run_stays_in_enumerated_states(self, every_state):
+        # the premise of deduplicated prediction: observations come from a
+        # small finite set, 1344 vectors at the reference config
+        cfg = SimConfig()
+        states = {s.tobytes() for s in every_state(cfg)}
+        sim = PuncturingSim(cfg, np.random.default_rng(17))
+        actions = np.random.default_rng(18)
+        seen = {sim.reset().tobytes()}
+        for _ in range(3000):
+            sim.step(int(actions.integers(0, cfg.n_actions)))
+            seen.add(sim.observe().tobytes())
+        assert len(states) == 1344
+        assert seen <= states
+        assert len(seen) > 100
+
     @pytest.mark.parametrize("slots,n", [(7, 2), (1, 3), (12, 4)])
     def test_decode_reads_back_every_state(self, slots, n):
         cfg = SimConfig(n_resources=n, slots_per_subframe=slots, occupy_len_min=0,
