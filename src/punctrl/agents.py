@@ -86,7 +86,7 @@ def select_action(
     spec: AgentSpec,
     head_out: np.ndarray,
     rng: np.random.Generator,
-    epsilon: float = 0.0,
+    epsilon: float,
 ) -> tuple[int, np.ndarray | None]:
     """Pick an action from the raw head output; returns (action, noise).
 

@@ -25,7 +25,7 @@ from .metrics import (
     write_csv,
 )
 from .net import DETERMINISTIC, NetworkParams
-from .seeding import STREAM_PROBE, substream
+from .seeding import STREAM_PROBE, check_seed, substream
 from .svgchart import Series, emit_linechart
 from .train import (
     ADAPTATION_CAP,
@@ -38,6 +38,7 @@ from .train import (
     probe_reaction,
     train,
 )
+from .validation import check_count
 
 CHART_METRICS = (
     ("sum_reward", "rewards.svg", "episode sum reward"),
@@ -46,24 +47,20 @@ CHART_METRICS = (
 )
 
 
-def _seed_type(text: str) -> int:
+def _checked_int(text: str, check) -> int:
+    """``text`` as a base-10 integer that ``check`` accepts; a rejection is a usage error."""
     try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
-    return value
+        return check(int(text, 10))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _seed_type(text: str) -> int:
+    return _checked_int(text, check_seed)
 
 
 def _count_type(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _checked_int(text, lambda value: check_count("the value", value, minimum=1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,10 +299,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (ConfigError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -161,7 +161,10 @@ class DqnScheduler(ParamsProtocolMixin):
         first appearance and PREDICT_BLOCK_ROWS rows at a time, and its
         values are copied to every row equal to it, so equal rows get equal
         values. The values agree with one forward pass per row up to
-        rounding.
+        rounding: OpenBLAS rounds a block below a few hundred rows with
+        another matmul kernel, so a state's last bits can differ between
+        calls that hold different numbers of distinct rows. Padding blocks to
+        full size would mend that, but a one-row call would cost a full one.
         """
         self._check_fitted()
         sim = self._train_config().sim

@@ -82,18 +82,19 @@ def _format_cell(value) -> str:
         return ""
     if isinstance(value, float):
         return format(value, ".17g")
-    return str(value)
+    text = str(value)
+    if "\r" in text:  # the writer leaves it unquoted, so a reader would split the record
+        raise ValueError(f"a CSV cell cannot hold a carriage return: {text!r}")
+    return text
 
 
-def write_csv(rows, path, row_type=None) -> None:
-    """UTF-8 CSV with a header, written atomically; floats keep 17 significant digits.
+def write_csv(rows, path, row_type) -> None:
+    """UTF-8 CSV of ``row_type`` rows with a header, written atomically.
 
-    Round-tripping through read_csv reproduces every finite value exactly.
+    Every line ends with a newline, and floats keep 17 significant digits:
+    read_csv reproduces every finite value exactly. A carriage return in a
+    cell raises ValueError.
     """
-    if row_type is None:
-        if not rows:
-            raise ValueError("row_type is required for an empty row list")
-        row_type = type(rows[0])
     names = field_names(row_type)
     for row in rows:
         if type(row) is not row_type:
@@ -118,24 +119,30 @@ _PARSERS = {
 def read_csv(path, row_type) -> list:
     """Parse a CSV written by write_csv back into typed rows.
 
-    An empty file, a foreign header or a record whose cell count differs
-    from the header's raises ValueError naming the path and line.
+    An empty file, a foreign header, a record whose cell count differs from
+    the header's or a last line without its newline (a file cut short)
+    raises ValueError naming the path and line.
     """
     names = field_names(row_type)
     parsers = [_PARSERS[f.type] for f in fields(row_type)]
-    out = []
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != names:
-            raise ValueError(f"{path}:1: expected header {names}, got {header}")
-        for record in reader:
-            if len(record) != len(names):
-                raise ValueError(
-                    f"{path}:{reader.line_num}: {len(record)} cells, the header has {len(names)}"
-                )
-            out.append(row_type(*(parse(cell) for parse, cell in zip(parsers, record))))
-    return out
+        text = fh.read()
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header != names:
+        raise ValueError(f"{path}:1: expected header {names}, got {header}")
+    records = []
+    for record in reader:
+        if len(record) != len(names):
+            raise ValueError(
+                f"{path}:{reader.line_num}: {len(record)} cells, the header has {len(names)}"
+            )
+        records.append(record)
+    # write_csv ends every line with a newline; without one, a cut cell may still parse
+    if not text.endswith("\n"):
+        raise ValueError(f"{path}:{reader.line_num}: cut short, the last line has no newline")
+    return [row_type(*(parse(cell) for parse, cell in zip(parsers, record)))
+            for record in records]
 
 
 def mean_std(values) -> tuple[float, float]:

@@ -8,12 +8,16 @@ reverse-mode rules for this stack, so no autodiff framework is needed.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 PTANH_NEG_SLOPE = 0.25
 LOG_2PI = math.log(2.0 * math.pi)
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 DETERMINISTIC = "deterministic"
 GAUSSIAN = "gaussian"
@@ -174,19 +178,17 @@ class ForwardCache:
         self.nonpos = [np.empty(k, dtype=bool) for k in widths]
 
 
-def forward_cached(params: NetworkParams, s: np.ndarray, cache: ForwardCache | None = None):
+def forward_cached(params: NetworkParams, s: np.ndarray, cache: ForwardCache):
     """Forward pass on one input ``(d,)``; batches go through forward().
 
-    Returns the output and the cache backward() needs. A passed-in cache is
-    refilled, so the returned output is its buffer and the next pass
-    through that cache overwrites it.
+    Refills ``cache`` and returns the output and the cache backward() needs.
+    The output is the cache's buffer, so the next pass through that cache
+    overwrites it.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (params.input_dim,):
         raise ValueError(f"forward_cached takes one input of shape ({params.input_dim},), "
                          f"got {s.shape}")
-    if cache is None:
-        cache = ForwardCache(params)
     np.copyto(cache.acts[0], s)
     for i in range(len(params.weights) - 1):
         _hidden_layer(params.weights[i], params.biases[i], cache.acts[i], cache.tanhs[i],
@@ -215,29 +217,28 @@ def forward(params: NetworkParams, s: np.ndarray) -> np.ndarray:
 
 
 def backward(params: NetworkParams, cache: ForwardCache, grad_out: np.ndarray,
-             out: NetworkParams | None = None) -> NetworkParams:
+             out: NetworkParams) -> NetworkParams:
     """Exact gradients of (grad_out . output) w.r.t. every parameter.
 
-    Takes the cache of a forward_cached pass. Writes into ``out`` when
-    given, else into a new NetworkParams, and returns it.
+    Takes the cache of a forward_cached pass, overwrites ``out`` with the
+    gradients and returns it.
     """
-    grads = params.zeros_like() if out is None else out
     n_layers = len(params.weights)
     g = np.asarray(grad_out, dtype=float)
     # einsum fills an outer product faster than a broadcast multiply, with the
     # same single product per element
-    np.einsum("i,j->ij", g, cache.acts[-1], out=grads.weights[-1])
-    grads.biases[-1][:] = g
+    np.einsum("i,j->ij", g, cache.acts[-1], out=out.weights[-1])
+    out.biases[-1][:] = g
     if n_layers > 1:
         np.matmul(params.weights[-1].T, g, out=cache.delta[-1])
     for i in range(n_layers - 2, -1, -1):
         g = cache.delta[i]
         g *= _ptanh_grad_from_tanh(cache.tanhs[i], cache.dact[i], cache.nonpos[i])
-        np.einsum("i,j->ij", g, cache.acts[i], out=grads.weights[i])
-        grads.biases[i][:] = g
+        np.einsum("i,j->ij", g, cache.acts[i], out=out.weights[i])
+        out.biases[i][:] = g
         if i > 0:
             np.matmul(params.weights[i].T, g, out=cache.delta[i - 1])
-    return grads
+    return out
 
 
 def split_gaussian(out: np.ndarray):
@@ -273,12 +274,8 @@ def gaussian_log_density(q, mu, log_sigma):
 class Adam:
     """Bias-corrected Adam over a NetworkParams instance, updated in place."""
 
-    def __init__(self, params: NetworkParams, learning_rate: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params: NetworkParams, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self.first_moment = np.zeros_like(params.flat)
         self.second_moment = np.zeros_like(params.flat)
@@ -286,20 +283,20 @@ class Adam:
 
     def step(self, params: NetworkParams, grads: NetworkParams) -> None:
         self.step_count += 1
-        bc1 = 1.0 - self.beta1**self.step_count
-        bc2 = 1.0 - self.beta2**self.step_count
+        bc1 = 1.0 - ADAM_BETA1**self.step_count
+        bc2 = 1.0 - ADAM_BETA2**self.step_count
         scale = self.learning_rate / bc1
         root_bc2 = math.sqrt(bc2)
         g = grads.flat
         m = self.first_moment
         v = self.second_moment
         buf = self._scratch
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=buf)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=buf)
         m += buf
-        v *= self.beta2
+        v *= ADAM_BETA2
         np.multiply(g, g, out=buf)
-        buf *= 1.0 - self.beta2
+        buf *= 1.0 - ADAM_BETA2
         v += buf
         # update = scale * m / (sqrt(v) / root_bc2 + eps), assembled in place
         np.sqrt(v, out=buf)
@@ -307,25 +304,20 @@ class Adam:
         # beta2 = 0.999), and dividing by 1.0 changes no value
         if root_bc2 != 1.0:
             buf /= root_bc2
-        buf += self.epsilon
+        buf += ADAM_EPSILON
         np.divide(m, buf, out=buf)
         buf *= scale
         params.flat -= buf
 
 
-@dataclass
 class TargetPair:
-    """Online parameters and their slowly tracking target copy."""
+    """Online parameters and their slowly tracking target, which starts as a copy."""
 
-    online: NetworkParams
-    target: NetworkParams = None
-    tau: float = 1e-4
-    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.target is None:
-            self.target = self.online.copy()
-        self._scratch = np.empty_like(self.online.flat)
+    def __init__(self, online: NetworkParams, tau: float):
+        self.online = online
+        self.target = online.copy()
+        self.tau = tau
+        self._scratch = np.empty_like(online.flat)
 
     def polyak_update(self) -> None:
         """target <- (1 - tau) * target + tau * online, elementwise."""

@@ -105,7 +105,7 @@ class SimCounters:
     discarded_critical: int = 0
 
 
-def gain_from_uniform(u: float, sigma: float = 1.0) -> float:
+def gain_from_uniform(u: float, sigma: float) -> float:
     """Rayleigh-squared power gain by inverse transform: g = sigma^2 * (-2 ln u).
 
     The amplitude sigma*sqrt(-2 ln u) is Rayleigh(sigma) for u uniform on
@@ -116,7 +116,7 @@ def gain_from_uniform(u: float, sigma: float = 1.0) -> float:
     return -2.0 * math.log(u) * sigma * sigma
 
 
-def sample_channel_gain(rng: np.random.Generator, sigma: float = 1.0) -> float:
+def sample_channel_gain(rng: np.random.Generator, sigma: float) -> float:
     # 1 - random() lies in (0, 1], excluding the log singularity at 0
     return gain_from_uniform(1.0 - rng.random(), sigma)
 

@@ -22,7 +22,7 @@ from punctrl.agents import (
     softmax_clipped,
 )
 from punctrl.cli import main as cli_main
-from punctrl.net import NetworkParams, forward_cached, reparameterize
+from punctrl.net import ForwardCache, NetworkParams, forward_cached, reparameterize
 from punctrl.seeding import substream
 from punctrl.sim import PuncturingSim, RequestKind, SimConfig
 from punctrl.train import (
@@ -187,7 +187,7 @@ class TestCriterion3ProbePreference:
 class TestCriterion4GradientOracle:
     def loss_grads(self, params, target_params, tr, spec, noise):
         """Loss and parameter gradients of one transition, as a training step computes them."""
-        head_out, cache = forward_cached(params, tr.s)
+        head_out, cache = forward_cached(params, tr.s, ForwardCache(params))
         grads = params.zeros_like()
         loss = loss_and_grads(spec, params, target_params, head_out, cache, noise, tr, grads)
         return loss, grads

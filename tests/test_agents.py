@@ -19,7 +19,7 @@ from punctrl.agents import (
     softmax_clipped,
     td_components,
 )
-from punctrl.net import NetworkParams, forward_cached, reparameterize
+from punctrl.net import ForwardCache, NetworkParams, forward_cached, reparameterize
 from punctrl.train import loss_and_grads, loss_and_output_grad
 
 TABLE_DECAY_STEPS = 45_000  # half of 30 episodes x 3000 steps
@@ -87,13 +87,13 @@ class TestSelectAction:
         rng = np.random.default_rng(2)
         head_out = np.array([0.1, 0.9, 0.3, -30.0, -30.0, -30.0])
         for _ in range(50):
-            assert select_action(spec, head_out, rng)[0] == 1
+            assert select_action(spec, head_out, rng, epsilon=0.0)[0] == 1
 
     def test_gaussian_returns_sample_and_noise(self):
         spec = AgentSpec(kind=ME)
         rng = np.random.default_rng(3)
         head_out = np.array([0.0, 0.0, 0.0, 0.2, 0.2, 0.2])
-        action, noise = select_action(spec, head_out, rng)
+        action, noise = select_action(spec, head_out, rng, epsilon=0.0)
         assert noise.shape == (3,)
         assert action == np.argmax(np.exp(0.2) * noise)
 
@@ -272,7 +272,7 @@ class TestLossMe:
 
 def loss_grads(params, target_params, tr, spec, noise):
     """Loss and parameter gradients of one transition, through the training path."""
-    head_out, cache = forward_cached(params, tr.s)
+    head_out, cache = forward_cached(params, tr.s, ForwardCache(params))
     grads = params.zeros_like()
     loss = loss_and_grads(spec, params, target_params, head_out, cache, noise, tr, grads)
     return loss, grads

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from punctrl.agents import AGENT_KINDS, ME_SIGNS, AgentSpec
-from punctrl.cli import main
+from punctrl.cli import build_parser, main
 from punctrl.config import CliConfig, ConfigError, config_text, load_config
 from punctrl.metrics import EpisodeRow, ProbeRow, read_csv
 from punctrl.sim import SimConfig
@@ -525,3 +525,13 @@ class TestUsage:
     def test_negative_seed_rejected(self, tmp_path, tiny_config):
         assert run("train", "--config", tiny_config, "--seed", "-1",
                    "--out", str(tmp_path / "x")) == 2
+
+    def test_seed_past_u64_is_usage_error(self, tmp_path, tiny_config):
+        out = tmp_path / "x"
+        assert run("train", "--config", tiny_config, "--seed", "18446744073709551616",
+                   "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_u64_max_seed_accepted(self):
+        args = build_parser().parse_args(["train", "--seed", "18446744073709551615"])
+        assert args.seed == 2**64 - 1

@@ -1,4 +1,8 @@
+from dataclasses import astuple, fields
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from punctrl.metrics import (
     EpisodeRow,
@@ -46,37 +50,39 @@ class TestWriteCsv:
             episode_row(episode=3, reward=-12345.678901234567),
         ]
         path = tmp_path / "rt.csv"
-        write_csv(rows, path)
+        write_csv(rows, path, EpisodeRow)
         assert read_csv(path, EpisodeRow) == rows
 
     def test_absent_optionals_are_empty_cells(self, tmp_path):
         rows = [ProbeRow("eg-s0_final", "eg", 0, md=1.5)]
         path = tmp_path / "probes.csv"
-        write_csv(rows, path)
+        write_csv(rows, path, ProbeRow)
         lines = path.read_text().splitlines()
         assert lines[1] == "eg-s0_final,eg,0,1.5,,,"
         assert read_csv(path, ProbeRow) == rows
 
+    def test_carriage_return_rejected(self, tmp_path):
+        # unquoted by the writer, it would split the record on reading
+        with pytest.raises(ValueError, match="carriage return"):
+            write_csv([ProbeRow("a\rb", "eg", 0)], tmp_path / "probes.csv", ProbeRow)
+        assert not (tmp_path / "probes.csv").exists()
+
     def test_mixed_row_types_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_csv([episode_row(), ProbeRow("x", "eg", 0)], tmp_path / "bad.csv")
-
-    def test_empty_rows_need_explicit_type(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_csv([], tmp_path / "no_type.csv")
+            write_csv([episode_row(), ProbeRow("x", "eg", 0)], tmp_path / "bad.csv", EpisodeRow)
 
     def test_identical_rows_identical_bytes(self, tmp_path):
         rows = [episode_row(reward=0.1234567890123456789)]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(rows, a)
-        write_csv(rows, b)
+        write_csv(rows, a, EpisodeRow)
+        write_csv(rows, b, EpisodeRow)
         assert a.read_bytes() == b.read_bytes()
 
 
 class TestReadCsv:
     def written(self, tmp_path):
         path = tmp_path / "episodes.csv"
-        write_csv([episode_row(), episode_row(episode=2)], path)
+        write_csv([episode_row(), episode_row(episode=2)], path, EpisodeRow)
         return path
 
     def test_truncated_last_row_names_its_line(self, tmp_path):
@@ -98,6 +104,70 @@ class TestReadCsv:
         path.write_text("")
         with pytest.raises(ValueError, match=r"episodes\.csv:1: expected header"):
             read_csv(path, EpisodeRow)
+
+    def test_cut_inside_last_cell_rejected(self, tmp_path):
+        # "10000" cut to "100" still has every cell and parses
+        path = tmp_path / "probes.csv"
+        write_csv([ProbeRow("eg-s0_final", "eg", 0, steps_until_explore=10000)], path, ProbeRow)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ValueError, match=r"probes\.csv:2: cut short"):
+            read_csv(path, ProbeRow)
+
+
+_FINITE = st.sampled_from([0.0, -0.0, 5e-324]) | st.floats(allow_nan=False, allow_infinity=False)
+_CELLS = {
+    str: st.text(st.characters(codec="utf-8", exclude_characters="\r"), max_size=6),
+    int: st.integers(),
+    float: _FINITE,
+    int | None: st.none() | st.integers(),
+    float | None: st.none() | _FINITE,
+}
+
+
+def _typed_rows():
+    """A row type and up to three rows of it, with any cell values write_csv accepts."""
+
+    def rows_of(row_type):
+        row = st.builds(row_type, *(_CELLS[f.type] for f in fields(row_type)))
+        return st.tuples(st.just(row_type), st.lists(row, max_size=3))
+
+    return st.sampled_from([EpisodeRow, ProbeRow, SummaryRow]).flatmap(rows_of)
+
+
+def _bits(rows):
+    """The rows' values with each float as its hex form, so -0.0 and 0.0 differ."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in astuple(r)) for r in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_typed_rows())
+def test_round_trip_is_bit_exact(tmp_path_factory, case):
+    row_type, rows = case
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    write_csv(rows, path, row_type)
+    assert _bits(read_csv(path, row_type)) == _bits(rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_typed_rows())
+def test_every_prefix_reads_its_whole_records_or_raises(tmp_path_factory, case):
+    """A prefix that ends where the file of rows[:k] ends reads back rows[:k]; any other raises."""
+    row_type, rows = case
+    tmp = tmp_path_factory.mktemp("csv")
+    whole = tmp / "rows.csv"
+    ends = []
+    for k in range(len(rows) + 1):
+        write_csv(rows[:k], whole, row_type)
+        ends.append(whole.stat().st_size)
+    data = whole.read_bytes()
+    cut = tmp / "cut.csv"
+    for size in range(len(data) + 1):
+        cut.write_bytes(data[:size])
+        if size in ends:
+            assert _bits(read_csv(cut, row_type)) == _bits(rows[: ends.index(size)])
+        else:
+            with pytest.raises(ValueError):
+                read_csv(cut, row_type)
 
 
 class TestMeanStd:
@@ -181,5 +251,5 @@ class TestSummaryCsv:
             SummaryRow("eg", None, "md", 1.5, 0.1, 1.4, 1.6, 3),
         ]
         path = tmp_path / "summary.csv"
-        write_csv(rows, path)
+        write_csv(rows, path, SummaryRow)
         assert read_csv(path, SummaryRow) == rows

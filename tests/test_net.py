@@ -59,7 +59,7 @@ class TestActivationMatchesEngine:
         cache = ForwardCache(params)
         for _ in range(10):
             forward_cached(params, rng.standard_normal(5) * 3.0, cache)
-            backward(params, cache, rng.standard_normal(4))
+            backward(params, cache, rng.standard_normal(4), params.zeros_like())
             for i, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
                 pre = cache.acts[i] @ w.T + b
                 assert np.array_equal(cache.acts[i + 1], penalized_tanh(pre))
@@ -101,12 +101,11 @@ class TestForward:
             with pytest.raises(ValueError):
                 forward(params, bad)
             with pytest.raises(ValueError):
-                forward_cached(params, bad)
+                forward_cached(params, bad, ForwardCache(params))
 
-    @pytest.mark.parametrize("with_cache", [False, True])
-    def test_forward_cached_rejects_batch(self, with_cache):
+    def test_forward_cached_rejects_batch(self):
         params = NetworkParams.zeros(5, (4,), 3)
-        cache = ForwardCache(params) if with_cache else None
+        cache = ForwardCache(params)
         for batch in (np.zeros((1, 5)), np.zeros((2, 5))):
             with pytest.raises(ValueError, match="one input"):
                 forward_cached(params, batch, cache)
@@ -224,23 +223,23 @@ class TestBufferReuse:
             s, grad_out = rng.standard_normal(5), rng.standard_normal(6)
             out, _ = forward_cached(params, s, cache)
             reused = backward(params, cache, grad_out, out=grads)
-            fresh_out, fresh_cache = forward_cached(params, s)
+            fresh_out, fresh_cache = forward_cached(params, s, ForwardCache(params))
             assert reused is grads
             assert np.array_equal(out, fresh_out)
-            assert grads == backward(params, fresh_cache, grad_out)
+            assert grads == backward(params, fresh_cache, grad_out, params.zeros_like())
 
     def test_forward_on_other_network_keeps_gradient(self):
         rng = np.random.default_rng(25)
         params = NetworkParams.init(5, (32, 32), 6, rng)
         other = NetworkParams.init(5, (32, 32), 6, rng)
         s, grad_out = rng.standard_normal(5), rng.standard_normal(6)
-        _, cache = forward_cached(params, s)
-        expected = backward(params, cache, grad_out)
+        _, cache = forward_cached(params, s, ForwardCache(params))
+        expected = backward(params, cache, grad_out, params.zeros_like())
         cache = ForwardCache(params)
         forward_cached(params, s, cache)
         forward(other, rng.standard_normal(5))
         forward(other, rng.standard_normal((4, 5)))
-        assert backward(params, cache, grad_out) == expected
+        assert backward(params, cache, grad_out, params.zeros_like()) == expected
 
 
 class TestGaussianHead:
@@ -297,16 +296,16 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(3)
         params = NetworkParams.init(4, (5,), 2, rng)
-        out, cache = forward_cached(params, rng.standard_normal(4))
-        grads = backward(params, cache, np.zeros_like(out))
+        out, cache = forward_cached(params, rng.standard_normal(4), ForwardCache(params))
+        grads = backward(params, cache, np.zeros_like(out), params.zeros_like())
         assert all(np.all(a == 0.0) for a in grads.arrays())
 
     def test_linear_net_hand_calculus(self):
         # single linear layer, loss = out^2: dL/dw = 2 * out * input
         params = single_path_params(1.5)
         x = np.array([0.8])
-        out, cache = forward_cached(params, x)
-        grads = backward(params, cache, 2.0 * out)
+        out, cache = forward_cached(params, x, ForwardCache(params))
+        grads = backward(params, cache, 2.0 * out, params.zeros_like())
         assert grads.weights[0][0, 0] == pytest.approx(2.0 * out[0] * x[0], abs=1e-12)
         assert grads.biases[0][0] == pytest.approx(2.0 * out[0], abs=1e-12)
 
@@ -320,8 +319,8 @@ class TestBackward:
         def loss_of_output(out):
             return float(coeff @ out)
 
-        out, cache = forward_cached(params, s)
-        analytic = backward(params, cache, coeff)
+        out, cache = forward_cached(params, s, ForwardCache(params))
+        analytic = backward(params, cache, coeff, params.zeros_like())
         numeric = finite_difference_grads(params, s, loss_of_output)
         for a, n in zip(analytic.arrays(), numeric.arrays()):
             assert np.allclose(a, n, rtol=1e-4, atol=1e-7)
@@ -389,8 +388,9 @@ class TestAdam:
 class TestPolyak:
     def make_pair(self, tau):
         online = single_path_params(1.0, biases=[1.0])
-        target = single_path_params(0.0)
-        return TargetPair(online, target, tau=tau)
+        pair = TargetPair(online, tau=tau)
+        pair.target = single_path_params(0.0)
+        return pair
 
     def test_tau_one_copies_online(self):
         pair = self.make_pair(1.0)
@@ -413,7 +413,8 @@ class TestPolyak:
         target = NetworkParams.init(3, (4,), 2, rng)
         tau = 0.05
         gaps_before = [np.abs(t - o) for t, o in zip(target.arrays(), online.arrays())]
-        pair = TargetPair(online, target, tau=tau)
+        pair = TargetPair(online, tau=tau)
+        pair.target = target
         pair.polyak_update()
         for t, o, gap in zip(target.arrays(), online.arrays(), gaps_before):
             assert np.allclose(np.abs(t - o), (1 - tau) * gap, atol=1e-12)
@@ -421,7 +422,7 @@ class TestPolyak:
     def test_target_initialized_as_copy(self):
         rng = np.random.default_rng(10)
         online = NetworkParams.init(3, (4,), 2, rng)
-        pair = TargetPair(online)
+        pair = TargetPair(online, tau=1e-4)
         assert all(np.array_equal(t, o) for t, o in zip(pair.target.arrays(), online.arrays()))
         pair.target.weights[0][0, 0] += 1.0
         assert pair.target.weights[0][0, 0] != online.weights[0][0, 0]

@@ -31,15 +31,15 @@ def step_with_deltas(sim, action):
 
 class TestChannelGain:
     def test_u_equal_one_gives_zero(self):
-        assert gain_from_uniform(1.0) == 0.0
+        assert gain_from_uniform(1.0, 1.0) == 0.0
 
     def test_hand_inverted_quantile(self):
         # |h| = sqrt(-2 ln u) = 1 exactly at u = e^(-1/2)
-        assert gain_from_uniform(math.exp(-0.5)) == pytest.approx(1.0, abs=1e-12)
+        assert gain_from_uniform(math.exp(-0.5), 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_u_zero_rejected(self):
         with pytest.raises(ValueError):
-            gain_from_uniform(0.0)
+            gain_from_uniform(0.0, 1.0)
 
     def test_monte_carlo_mean_matches_analytic(self):
         # E[g] = 2 sigma^2 for a squared Rayleigh amplitude
