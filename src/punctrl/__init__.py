@@ -8,7 +8,6 @@ from .agents import (
     loss_me,
     loss_vb,
     select_action,
-    softmax_clipped,
     td_components,
 )
 from .estimator import DqnScheduler, ManualScheduler
@@ -30,7 +29,6 @@ from .net import (
     forward,
     forward_cached,
     gaussian_log_density,
-    penalized_tanh,
     sample_gaussian_head,
 )
 from .sim import (

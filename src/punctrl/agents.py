@@ -152,34 +152,22 @@ def loss_vb(spec: AgentSpec, q, mu, log_sigma, sigma, noise):
     return loss, grad_mu, grad_ls
 
 
-def _softmax(q: np.ndarray) -> np.ndarray:
-    shifted = q - np.max(q)
-    e = np.exp(shifted)
-    return e / np.sum(e)
-
-
-def softmax_clipped(q: np.ndarray, clip_low: float) -> np.ndarray:
-    """Shift-invariant softmax, then elementwise clamp to [clip_low, 1].
-
-    No renormalization after the clamp; values that enter a log downstream
-    are therefore bounded away from zero.
-    """
-    return np.clip(_softmax(np.asarray(q, dtype=float)), clip_low, 1.0)
-
-
 def loss_me(spec: AgentSpec, q, sigma, noise):
     """Weighted sum of the log softmax values of the sampled q.
 
     Returns (loss, grad_mu, grad_log_sigma) of this penalty alone, the
     gradients as lists. In the default ``uniform_prior`` mode the sum is
     subtracted, making the penalty smallest at a uniform softmax;
-    ``as_written`` adds it instead. Components clamped by the softmax clip
-    contribute no gradient.
+    ``as_written`` adds it instead. Each softmax value is clamped to
+    [softmax_clip_low, 1] before its log, without renormalizing, so no log
+    sees zero; clamped components contribute no gradient.
     """
     weight = (-1.0 if spec.me_sign == SIGN_UNIFORM_PRIOR else 1.0) * spec.w_me
     low = spec.softmax_clip_low
+    # softmax shifted by the maximum, so no exp overflows
+    e = np.exp(q - np.max(q))
     # per action on Python floats, as in loss_vb; np.log and np.sum stay numpy
-    sm_raw = _softmax(q).tolist()
+    sm_raw = (e / np.sum(e)).tolist()
     loss = weight * float(np.sum(np.log([min(max(s, low), 1.0) for s in sm_raw])))
     unclamped = [s >= low for s in sm_raw]
     k = float(sum(unclamped))

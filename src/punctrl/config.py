@@ -111,8 +111,9 @@ def _find_line(text: str, section: str | None, key: str | None) -> int | None:
             in_section = True if section is None else name == section
             continue
         if key is not None and in_section:
+            # configparser lower-cases the keys it reports
             head = stripped.split("=", 1)[0].split(":", 1)[0].strip()
-            if head == key:
+            if head.lower() == key:
                 return lineno
     return None
 
@@ -170,15 +171,15 @@ def check_config(cfg: CliConfig, path=None, text: str = "") -> None:
         raise ConfigError(message, path=path, line=line)
 
 
-def as_train_config(cfg: CliConfig, seed: int | None = None,
+def as_train_config(cfg: CliConfig, seed: int,
                     checkpoint_dir: str | None = None) -> TrainConfig:
-    """The training settings of ``cfg``, for another seed if one is given.
+    """The training settings of ``cfg`` for one rep's ``seed``.
 
     A plain TrainConfig: one rep's seed is validated on its own, not as the
     start of ``cfg.reps`` seeds.
     """
     kept = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
-    kept.update(seed=cfg.seed if seed is None else seed, checkpoint_dir=checkpoint_dir)
+    kept.update(seed=seed, checkpoint_dir=checkpoint_dir)
     return TrainConfig(**kept)
 
 

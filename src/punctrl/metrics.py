@@ -120,24 +120,28 @@ def read_csv(path, row_type) -> list:
     """Parse a CSV written by write_csv back into typed rows.
 
     An empty file, a foreign header, a record whose cell count differs from
-    the header's or a last line without its newline (a file cut short)
-    raises ValueError naming the path and line.
+    the header's, a line the csv module cannot split (such as a cell past
+    its field size limit) or a last line without its newline (a file cut
+    short) raises ValueError naming the path and line.
     """
     names = field_names(row_type)
     parsers = [_PARSERS[f.type] for f in fields(row_type)]
     with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header != names:
-        raise ValueError(f"{path}:1: expected header {names}, got {header}")
-    records = []
-    for record in reader:
-        if len(record) != len(names):
-            raise ValueError(
-                f"{path}:{reader.line_num}: {len(record)} cells, the header has {len(names)}"
-            )
-        records.append(record)
+    try:
+        header = next(reader, None)
+        if header != names:
+            raise ValueError(f"{path}:1: expected header {names}, got {header}")
+        records = []
+        for record in reader:
+            if len(record) != len(names):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: {len(record)} cells, the header has {len(names)}"
+                )
+            records.append(record)
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     # write_csv ends every line with a newline; without one, a cut cell may still parse
     if not text.endswith("\n"):
         raise ValueError(f"{path}:{reader.line_num}: cut short, the last line has no newline")

@@ -32,37 +32,6 @@ def head_output_dim(mode: str, n_actions: int) -> int:
     raise ValueError(f"unknown head mode {mode!r}")
 
 
-def _ptanh_from_tanh(t, out):
-    """out <- penalized tanh, given t = tanh of the pre-activation.
-
-    tanh keeps the sign of its argument, so max(t, slope * t) picks t on the
-    positive half-line and slope * t elsewhere.
-    """
-    np.multiply(t, PTANH_NEG_SLOPE, out=out)
-    np.maximum(t, out, out=out)
-    return out
-
-
-def _ptanh_grad_from_tanh(t, out, nonpos):
-    """out <- (1 - t^2) times the slope of the half-line t's pre-activation was on."""
-    np.multiply(t, t, out=out)
-    np.subtract(1.0, out, out=out)
-    np.less_equal(t, 0.0, out=nonpos)
-    np.multiply(out, PTANH_NEG_SLOPE, out=out, where=nonpos)
-    return out
-
-
-def penalized_tanh(x):
-    """tanh with the negative half-line scaled down by PTANH_NEG_SLOPE."""
-    t = np.tanh(np.asarray(x, dtype=float))
-    return _ptanh_from_tanh(t, np.empty_like(t))
-
-
-def penalized_tanh_grad(x):
-    t = np.tanh(np.asarray(x, dtype=float))
-    return _ptanh_grad_from_tanh(t, np.empty_like(t), np.empty(t.shape, dtype=bool))
-
-
 class NetworkParams:
     """Weights (out x in) and biases of every layer, in forward order.
 
@@ -138,11 +107,6 @@ class NetworkParams:
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
 
-    def __eq__(self, other):
-        if not isinstance(other, NetworkParams):
-            return NotImplemented
-        return self.shapes == other.shapes and np.array_equal(self.flat, other.flat)
-
     def __getstate__(self):
         return {"shapes": self.shapes, "flat": self.flat}
 
@@ -152,11 +116,16 @@ class NetworkParams:
 
 
 def _hidden_layer(w, b, a, t, out) -> None:
-    """t <- tanh(a W^T + b), out <- penalized tanh of the same pre-activation."""
+    """t <- tanh(a W^T + b), out <- penalized tanh of the same pre-activation.
+
+    tanh keeps the sign of its argument, so max(t, slope * t) picks t on the
+    positive half-line and slope * t elsewhere.
+    """
     np.matmul(a, w.T, out=t)
     t += b
     np.tanh(t, out=t)
-    _ptanh_from_tanh(t, out)
+    np.multiply(t, PTANH_NEG_SLOPE, out=out)
+    np.maximum(t, out, out=out)
 
 
 class ForwardCache:
@@ -233,7 +202,14 @@ def backward(params: NetworkParams, cache: ForwardCache, grad_out: np.ndarray,
         np.matmul(params.weights[-1].T, g, out=cache.delta[-1])
     for i in range(n_layers - 2, -1, -1):
         g = cache.delta[i]
-        g *= _ptanh_grad_from_tanh(cache.tanhs[i], cache.dact[i], cache.nonpos[i])
+        # the activation's slope from its tanh value t: (1 - t^2) times the
+        # slope of the half-line the pre-activation was on
+        t, dact, nonpos = cache.tanhs[i], cache.dact[i], cache.nonpos[i]
+        np.multiply(t, t, out=dact)
+        np.subtract(1.0, dact, out=dact)
+        np.less_equal(t, 0.0, out=nonpos)
+        np.multiply(dact, PTANH_NEG_SLOPE, out=dact, where=nonpos)
+        g *= dact
         np.einsum("i,j->ij", g, cache.acts[i], out=out.weights[i])
         out.biases[i][:] = g
         if i > 0:

@@ -211,17 +211,14 @@ def _episode_row(kind: str, seed: int, env: PuncturingSim, episode: int, sum_rew
     )
 
 
-def train(cfg: TrainConfig, initial_params: NetworkParams | None = None) -> RunResult:
+def train(cfg: TrainConfig) -> RunResult:
     """Run the online training protocol and return per-episode metrics."""
     cfg.validate()
     spec = cfg.agent
     run_id = format_run_id(spec.kind, cfg.seed)
     env = PuncturingSim(cfg.sim, substream(cfg.seed, STREAM_ENV))
     action_rng = substream(cfg.seed, STREAM_ACTION)
-    if initial_params is None:
-        online = build_network(cfg, substream(cfg.seed, STREAM_NET_INIT))
-    else:
-        online = initial_params.copy()
+    online = build_network(cfg, substream(cfg.seed, STREAM_NET_INIT))
     learner = Learner(spec, online, cfg, run_id)
     tr = Transition(None, 0, 0.0, None)
     decay_steps = int(spec.epsilon_decay_fraction * cfg.episodes * cfg.steps_per_episode)
@@ -355,7 +352,7 @@ def probe_adaptation(
     spec: AgentSpec,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    cap: int = ADAPTATION_CAP,
+    cap: int,
 ) -> int:
     """Confront-train-repeat on the probe state until a puncture is chosen.
 

@@ -17,7 +17,7 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
-def check_count(name: str, value: int, minimum: int = 0) -> int:
+def check_count(name: str, value: int, minimum: int) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:

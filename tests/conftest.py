@@ -27,6 +27,17 @@ def every_state():
     return build
 
 
+@pytest.fixture
+def softmax_clipped():
+    """A reference softmax, shifted by the maximum, clamped to [clip_low, 1] unrenormalized."""
+
+    def softmax(q, clip_low):
+        e = np.exp(np.asarray(q, dtype=float) - np.max(q))
+        return np.clip(e / np.sum(e), clip_low, 1.0)
+
+    return softmax
+
+
 def pytest_terminal_summary(terminalreporter):
     """Echo the acceptance criterion lines after the test summary."""
     module = sys.modules.get("test_acceptance")

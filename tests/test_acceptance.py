@@ -19,13 +19,13 @@ from punctrl.agents import (
     VB,
     AgentSpec,
     Transition,
-    softmax_clipped,
 )
 from punctrl.cli import main as cli_main
 from punctrl.net import ForwardCache, NetworkParams, forward_cached, reparameterize
 from punctrl.seeding import substream
 from punctrl.sim import PuncturingSim, RequestKind, SimConfig
 from punctrl.train import (
+    ADAPTATION_CAP,
     TrainConfig,
     loss_and_grads,
     loss_and_output_grad,
@@ -122,7 +122,8 @@ class TestCriterion1AdaptationOrdering:
         params = NetworkParams.zeros(5, (4,), 6)
         params.biases[-1][:] = [0.0, 1.0, 0.0, -30.0, -30.0, -30.0]
         cfg = TrainConfig(agent=AgentSpec(kind=VB))
-        assert probe_adaptation(params, cfg.agent, cfg, np.random.default_rng(0)) == 1
+        assert probe_adaptation(params, cfg.agent, cfg, np.random.default_rng(0),
+                                cap=ADAPTATION_CAP) == 1
 
 
 class TestCriterion2TrainingCurves:
@@ -301,7 +302,7 @@ class TestCriterion6VbReduction:
 
 
 class TestCriterion7MePenaltyMinimizer:
-    def test_descent_reaches_uniform(self):
+    def test_descent_reaches_uniform(self, softmax_clipped):
         spec = AgentSpec(kind=ME, w_me=1.0)
         rng = np.random.default_rng(12)
         log_sigma = np.full(3, -40.0)

@@ -16,7 +16,6 @@ from punctrl.agents import (
     loss_me,
     loss_vb,
     select_action,
-    softmax_clipped,
     td_components,
 )
 from punctrl.net import ForwardCache, NetworkParams, forward_cached, reparameterize
@@ -176,12 +175,31 @@ class TestLossVb:
                 assert grad_mu[i] == pytest.approx(0.0, abs=1e-10)
 
 
+def me_penalty(q, clip_low):
+    """loss_me at weight +1 on the estimates q: the summed logs and their gradient w.r.t. q."""
+    spec = AgentSpec(kind=ME, w_me=1.0, softmax_clip_low=clip_low, me_sign=SIGN_AS_WRITTEN)
+    q = np.asarray(q, dtype=float)
+    loss, grad_q, _ = loss_me(spec, q, np.ones_like(q), np.zeros_like(q))
+    return loss, np.array(grad_q)
+
+
 class TestSoftmaxClipped:
-    def test_uniform(self):
+    """The softmax loss_me takes the logs of, against the conftest reference."""
+
+    @pytest.mark.parametrize("q, clip_low", [
+        ([0.0, 0.0, 0.0], 1e-3),
+        ([20.0, 0.0, 0.0], 1e-3),
+        ([1000.0, 0.0, -1000.0], 1e-3),
+        ([0.3, -1.2, 2.5, 0.0], 0.05),
+    ], ids=["uniform", "peaked", "extreme", "clamped"])
+    def test_loss_me_sums_its_logs(self, softmax_clipped, q, clip_low):
+        assert me_penalty(q, clip_low)[0] == np.sum(np.log(softmax_clipped(q, clip_low)))
+
+    def test_uniform(self, softmax_clipped):
         sm = softmax_clipped(np.zeros(3), 1e-3)
         assert np.allclose(sm, 1 / 3, atol=1e-12)
 
-    def test_peaked_vector_clamps_tail(self):
+    def test_peaked_vector_clamps_tail(self, softmax_clipped):
         sm = softmax_clipped(np.array([20.0, 0.0, 0.0]), 1e-3)
         assert sm[0] == pytest.approx(1.0, abs=1e-8)
         assert sm[1] == sm[2] == 1e-3
@@ -194,12 +212,18 @@ class TestSoftmaxClipped:
     def test_shift_invariance(self):
         rng = np.random.default_rng(6)
         q = rng.standard_normal(4)
-        assert np.allclose(softmax_clipped(q, 1e-3), softmax_clipped(q + 55.5, 1e-3), atol=1e-12)
+        loss, grad_q = me_penalty(q, 1e-3)
+        shifted_loss, shifted_grad_q = me_penalty(q + 55.5, 1e-3)
+        assert shifted_loss == pytest.approx(loss, abs=1e-12)
+        assert np.allclose(grad_q, shifted_grad_q, atol=1e-12)
 
-    def test_no_log_of_zero_possible(self):
-        sm = softmax_clipped(np.array([1000.0, 0.0, -1000.0]), 1e-3)
+    def test_no_log_of_zero_possible(self, softmax_clipped):
+        q = np.array([1000.0, 0.0, -1000.0])
+        sm = softmax_clipped(q, 1e-3)
         assert np.all(sm >= 1e-3)
         assert np.all(np.isfinite(np.log(sm)))
+        loss, grad_q = me_penalty(q, 1e-3)
+        assert math.isfinite(loss) and np.all(np.isfinite(grad_q))
 
 
 class TestLossMe:
@@ -239,7 +263,7 @@ class TestLossMe:
         assert l_up == pytest.approx(-l_aw, abs=1e-9)
         assert np.allclose(g_up, np.negative(g_aw), atol=1e-9)
 
-    def test_uniform_prior_descent_reaches_uniform(self):
+    def test_uniform_prior_descent_reaches_uniform(self, softmax_clipped):
         # penalty-only gradient descent from random starts lands on uniform softmax
         spec = AgentSpec(kind=ME)
         rng = np.random.default_rng(7)
@@ -253,7 +277,7 @@ class TestLossMe:
                 q -= 0.05 * grad_q
             assert np.allclose(softmax_clipped(q, spec.softmax_clip_low), 1 / 3, atol=1e-3)
 
-    def test_penalty_step_shrinks_softmax_spread(self):
+    def test_penalty_step_shrinks_softmax_spread(self, softmax_clipped):
         spec = AgentSpec(kind=ME, w_me=1.0)
         rng = np.random.default_rng(8)
         for _ in range(50):

@@ -136,12 +136,17 @@ class TestConfig:
         assert cfg.learning_rate == 1e-4
         assert cfg.target_tau == 1e-4
 
-    def test_unknown_key_rejected_with_line(self, tmp_path):
+    # configparser reports keys lower-cased, whatever case the file uses
+    @pytest.mark.parametrize("text, key", [
+        ("[sim]\np_occupy = 0.5\np_ocupy = 0.7\n", "p_ocupy"),
+        ("[train]\nsteps_per_episode = 10\nEpisodez = 3\n", "episodez"),
+    ], ids=["p_ocupy", "Episodez"])
+    def test_unknown_key_rejected_with_line(self, tmp_path, text, key):
         path = tmp_path / "bad.ini"
-        path.write_text("[sim]\np_occupy = 0.5\np_ocupy = 0.7\n")
+        path.write_text(text)
         with pytest.raises(ConfigError) as err:
             load_config(str(path))
-        assert "p_ocupy" in str(err.value)
+        assert key in str(err.value)
         assert ":3:" in str(err.value)
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -165,6 +170,7 @@ class TestConfig:
         ("[agent]\nme_sign = yy\n", 2, "me_sign"),
         ("[train]\nepisodes = 2\n\n[run]\nreps = 0\n", 5, "reps"),
         ("[run]\nseed = 2\nout_dir =\n", 3, "out_dir"),
+        ("[train]\nsteps_per_episode = 10\nEpisodes = -1\n", 3, "episodes"),
     ])
     def test_bad_value_anchored_to_its_line(self, tmp_path, text, line, key):
         path = tmp_path / "bad.ini"
@@ -350,7 +356,8 @@ class TestCmdProbe:
         assert run("probe", "--checkpoints", run_dir, "--mode", "adapt",
                    "--reps", "4", "--cap", "30", "--seed", "6") == 0
         rows = read_csv(os.path.join(run_dir, "probes.csv"), ProbeRow)
-        cfg = as_train_config(load_config(os.path.join(run_dir, "manifest.ini")))
+        manifest = load_config(os.path.join(run_dir, "manifest.ini"))
+        cfg = as_train_config(manifest, seed=manifest.seed)
         params, _, _ = load_checkpoint(
             os.path.join(run_dir, "checkpoints", f"{kind}-s1_final.ckpt"))
         assert [r.repetition for r in rows] == [0, 1, 2, 3]
@@ -476,6 +483,17 @@ class TestCmdReport:
         episodes.write_bytes(episodes.read_bytes()[:-20])
         assert run("report", "--in", str(runs), "--out", str(tmp_path / "rep")) == 1
         assert capsys.readouterr().err.startswith(f"error: {episodes}:3: ")
+
+    def test_cell_past_csv_field_limit_is_runtime_error(self, tmp_path, tiny_config, capsys):
+        runs = tmp_path / "runs"
+        run("train", "--config", tiny_config, "--agent", "eg", "--seed", "0",
+            "--reps", "1", "--out", str(runs / "eg"))
+        episodes = runs / "eg" / "episodes.csv"
+        lines = episodes.read_text().splitlines(keepends=True)
+        lines[1] = "x" * 200_000 + lines[1]
+        episodes.write_text("".join(lines))
+        assert run("report", "--in", str(runs), "--out", str(tmp_path / "rep")) == 1
+        assert capsys.readouterr().err.startswith(f"error: {episodes}:2: ")
 
     def test_full_report(self, tmp_path, tiny_config, capsys):
         runs = tmp_path / "runs"

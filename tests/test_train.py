@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import struct
@@ -14,6 +15,7 @@ from punctrl.net import NetworkParams
 from punctrl.seeding import substream
 from punctrl.sim import PuncturingSim, RequestKind, SimConfig
 from punctrl.train import (
+    ADAPTATION_CAP,
     TrainConfig,
     TrainingDiverged,
     build_network,
@@ -44,6 +46,16 @@ def params_equal(a, b):
     return all(np.array_equal(x, y) for x, y in zip(a.arrays(), b.arrays()))
 
 
+# the module, which the package's `train` function shadows as an attribute
+TRAIN_MODULE = importlib.import_module("punctrl.train")
+
+
+def train_from(cfg, params, monkeypatch):
+    """train(cfg) starting from a copy of ``params`` in place of its seeded initialization."""
+    monkeypatch.setattr(TRAIN_MODULE, "build_network", lambda cfg, rng: params.copy())
+    return train(cfg)
+
+
 class TestTrain:
     def test_zero_episodes_returns_untouched_snapshot(self):
         cfg = small_cfg(episodes=0)
@@ -54,12 +66,12 @@ class TestTrain:
         assert result.total_steps == 0
         assert params_equal(result.final_params, expected)
 
-    def test_null_environment_zero_init_params_never_move(self):
+    def test_null_environment_zero_init_params_never_move(self, monkeypatch):
         # all-zero outputs and all-zero rewards keep every TD error at zero,
         # and Adam with zero gradients moves nothing
         cfg = small_cfg(episodes=1, steps=40, p_occupy=0.0, p_request=0.0)
         zero = NetworkParams.zeros(cfg.sim.state_dim, cfg.hidden_dims, cfg.sim.n_actions)
-        result = train(cfg, initial_params=zero)
+        result = train_from(cfg, zero, monkeypatch)
         assert params_equal(result.final_params, zero)
         assert result.episodes[0].sum_reward == 0.0
 
@@ -199,7 +211,7 @@ class TestProbeAdaptation:
         params.biases[-1][:] = [0.0, 1.0, 0.0, -30.0, -30.0, -30.0]
         cfg = TrainConfig(agent=AgentSpec(kind="vb"), sim=sim_cfg)
         rng = np.random.default_rng(0)
-        assert probe_adaptation(params, cfg.agent, cfg, rng) == 1
+        assert probe_adaptation(params, cfg.agent, cfg, rng, cap=ADAPTATION_CAP) == 1
 
     def test_stubborn_eg_hits_cap(self):
         sim_cfg = SimConfig()
@@ -272,16 +284,17 @@ class TestProbeAdaptation:
 
 
 @pytest.mark.parametrize("caller, label", [
-    (lambda cfg, params: train(cfg, initial_params=params), "eg-s11"),
-    (lambda cfg, params: probe_adaptation(params, cfg.agent, cfg, np.random.default_rng(0)),
+    (train_from, "eg-s11"),
+    (lambda cfg, params, _: probe_adaptation(params, cfg.agent, cfg, np.random.default_rng(0),
+                                             cap=ADAPTATION_CAP),
      "adaptation probe"),
 ], ids=["train", "probe"])
-def test_divergence_names_the_caller(caller, label):
+def test_divergence_names_the_caller(caller, label, monkeypatch):
     cfg = small_cfg(episodes=1, steps=10)
     poisoned = build_network(cfg, substream(cfg.seed, "net-init"))
     poisoned.weights[0][0, 0] = math.nan
     with pytest.raises(TrainingDiverged, match=f"update 1 \\({label}\\)"):
-        caller(cfg, poisoned)
+        caller(cfg, poisoned, monkeypatch)
 
 
 class TestCheckpoints:
