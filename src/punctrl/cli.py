@@ -9,7 +9,6 @@ import argparse
 import glob
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from itertools import groupby
 
@@ -133,7 +132,13 @@ def _run_reps(cfg, run) -> int:
         for rep in range(cfg.reps)
     ]
     if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # imported here: a single-job run, the common case, never loads them.
+        # spawn, not fork: numpy's BLAS may already have started threads
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks)),
+                                 mp_context=get_context("spawn")) as pool:
             results = list(pool.map(run, tasks))
     else:
         results = [run(task) for task in tasks]

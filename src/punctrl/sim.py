@@ -26,6 +26,12 @@ class RequestKind(enum.Enum):
     CRITICAL = "critical"
 
 
+# Python 3.11's enum metaclass defines __getattr__, which sends every
+# RequestKind.X lookup down a slow path (~0.1 µs, several per mini-slot);
+# a module global is a plain dict lookup
+NONE, NORMAL, CRITICAL = RequestKind.NONE, RequestKind.NORMAL, RequestKind.CRITICAL
+
+
 @dataclass
 class SimConfig:
     """Environment parameters. Defaults follow the reference setup."""
@@ -71,8 +77,8 @@ class SimConfig:
 def encode_state(cfg: SimConfig, slot_index: int, request: RequestKind, remaining) -> np.ndarray:
     """State vector (slot position, request flags, relative occupations), all in [0, 1]."""
     slots = cfg.slots_per_subframe
-    pending = 0.0 if request is RequestKind.NONE else 1.0
-    critical = 1.0 if request is RequestKind.CRITICAL else 0.0
+    pending = 0.0 if request is NONE else 1.0
+    critical = 1.0 if request is CRITICAL else 0.0
     return np.array([slot_index / max(slots - 1, 1), pending, critical]
                     + [r / slots for r in remaining])
 
@@ -81,11 +87,11 @@ def decode_state(cfg: SimConfig, s) -> tuple:
     """(slot_index, request, remaining) read back from a state vector of encode_state."""
     slots = cfg.slots_per_subframe
     if s[1] < 0.5:
-        request = RequestKind.NONE
+        request = NONE
     elif s[2] >= 0.5:
-        request = RequestKind.CRITICAL
+        request = CRITICAL
     else:
-        request = RequestKind.NORMAL
+        request = NORMAL
     remaining = [round(float(v) * slots) for v in s[3:]]
     return round(float(s[0]) * max(slots - 1, 1)), request, remaining
 
@@ -147,7 +153,7 @@ class PuncturingSim:
         self.slot_index = 0
         self.remaining = [0] * n
         self.gain = [0.0] * n
-        self.request = RequestKind.NONE
+        self.request = NONE
         self.counters = SimCounters()
 
     def reset(self) -> np.ndarray:
@@ -161,21 +167,27 @@ class PuncturingSim:
         """Draw fresh occupancy and channel gains; call with slot_index wrapped to 0."""
         cfg = self.cfg
         rng = self.rng
+        remaining = self.remaining
+        gain = self.gain
+        counters = self.counters
+        p_occupy = cfg.p_occupy
+        len_min, len_end = cfg.occupy_len_min, cfg.occupy_len_max + 1
+        sigma = cfg.rayleigh_sigma
         for k in range(cfg.n_resources):
-            if rng.random() < cfg.p_occupy:
-                self.remaining[k] = int(rng.integers(cfg.occupy_len_min, cfg.occupy_len_max + 1))
-                self.counters.tx_started += 1
+            if rng.random() < p_occupy:
+                remaining[k] = int(rng.integers(len_min, len_end))
+                counters.tx_started += 1
             else:
-                self.remaining[k] = 0
-            self.gain[k] = sample_channel_gain(rng, cfg.rayleigh_sigma)
+                remaining[k] = 0
+            gain[k] = sample_channel_gain(rng, sigma)
 
     def maybe_spawn_request(self) -> None:
         """Possibly pose a new request; suppressed while one is outstanding."""
-        if self.request is not RequestKind.NONE:
+        if self.request is not NONE:
             return
         if self.rng.random() < self.cfg.p_request:
             critical = self.rng.random() < self.cfg.p_critical
-            self.request = RequestKind.CRITICAL if critical else RequestKind.NORMAL
+            self.request = CRITICAL if critical else NORMAL
             self.counters.arrived += 1
             if critical:
                 self.counters.arrived_critical += 1
@@ -205,29 +217,33 @@ class PuncturingSim:
             # fills the slot; the punctured mini-slot itself adds nothing to
             # capacity
             remaining[action - 1] = 0
-            if request is not RequestKind.NONE:
+            if request is not NONE:
                 counters.scheduled += 1
-                if request is RequestKind.CRITICAL:
+                if request is CRITICAL:
                     counters.scheduled_critical += 1
-                request = RequestKind.NONE
+                request = NONE
 
+        # one pass: a running transmission adds its capacity and counts down
+        gain = self.gain
         r_capacity = 0.0
-        for r, g in zip(remaining, self.gain):
+        for k in range(len(remaining)):
+            r = remaining[k]
             if r > 0:
-                r_capacity += math.log1p(g)
+                r_capacity += math.log1p(gain[k])
+                remaining[k] = r - 1
 
         r_discard = 0.0
         r_discard_critical = 0.0
-        if request is RequestKind.CRITICAL:
+        if request is CRITICAL:
             # a critical request not punctured in its arrival slot times out
             r_discard_critical = -1.0
             counters.discarded += 1
             counters.discarded_critical += 1
-            request = RequestKind.NONE
-        elif request is RequestKind.NORMAL and self.slot_index == cfg.slots_per_subframe - 1:
+            request = NONE
+        elif request is NORMAL and self.slot_index == cfg.slots_per_subframe - 1:
             r_discard = -1.0
             counters.discarded += 1
-            request = RequestKind.NONE
+            request = NONE
         self.request = request
 
         r_total = (
@@ -235,10 +251,6 @@ class PuncturingSim:
             + cfg.w_discard * r_discard
             + cfg.w_discard_critical * r_discard_critical
         )
-
-        for k, r in enumerate(remaining):
-            if r > 0:
-                remaining[k] = r - 1
 
         self.slot_index += 1
         if self.slot_index == cfg.slots_per_subframe:

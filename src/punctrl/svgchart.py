@@ -74,6 +74,11 @@ def _data_range(values, fallback) -> tuple:
     return lo - pad, hi + pad
 
 
+def _escape(text: str) -> str:
+    """``text`` safe as XML character data; ``&`` goes first so no escape is escaped twice."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _series_color(series: Series, index: int) -> str:
     return PALETTE.get(series.label, FALLBACK_COLORS[index % len(FALLBACK_COLORS)])
 
@@ -83,6 +88,7 @@ def emit_linechart(series, path, title: str, baseline: float | None = None) -> N
 
     ``baseline``, when given, is drawn as a dashed line labelled "manual".
     """
+    title = _escape(title)
     xs, ys = [], []
     for s in series:
         xs.extend(s.x)
@@ -176,7 +182,7 @@ def emit_linechart(series, path, title: str, baseline: float | None = None) -> N
         )
         parts.append(
             f'<text x="{_fmt(lx + 27)}" y="{_fmt(MARGIN_T + 16)}" font-size="12" '
-            f'fill="#111111">{s.label}</text>'
+            f'fill="#111111">{_escape(s.label)}</text>'
         )
 
     parts.append(

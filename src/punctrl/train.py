@@ -39,7 +39,7 @@ from .net import (
     split_gaussian,
 )
 from .seeding import STREAM_ACTION, STREAM_ENV, STREAM_NET_INIT, check_seed, substream
-from .sim import PuncturingSim, RequestKind, SimConfig, encode_state
+from .sim import CRITICAL, NONE, PuncturingSim, RequestKind, SimConfig, encode_state
 from .validation import check_count, check_positive
 
 ADAPTATION_CAP = 10000
@@ -194,8 +194,8 @@ def _episode_row(kind: str, seed: int, env: PuncturingSim, episode: int, sum_rew
     c = env.counters
     # a request still pending at truncation is neither served nor missed;
     # ratios are over resolved requests so missed + scheduled = arrived
-    arrived = c.arrived - (0 if env.request is RequestKind.NONE else 1)
-    arrived_critical = c.arrived_critical - (1 if env.request is RequestKind.CRITICAL else 0)
+    arrived = c.arrived - (0 if env.request is NONE else 1)
+    arrived_critical = c.arrived_critical - (1 if env.request is CRITICAL else 0)
     return EpisodeRow(
         run_id=format_run_id(kind, seed),
         agent=kind,
@@ -271,9 +271,10 @@ def manual_action(remaining, kind: RequestKind) -> int:
     one if available, ties to the lowest index). Nothing is ever missed, at
     the price of somewhat more interrupted transmissions.
     """
-    if kind is RequestKind.NONE:
+    if kind is NONE:
         return 0
-    return 1 + min(range(len(remaining)), key=remaining.__getitem__)
+    # index() returns the first minimum, so ties go to the lowest index
+    return 1 + remaining.index(min(remaining))
 
 
 def manual_baseline(cfg: TrainConfig) -> RunResult:
@@ -289,7 +290,7 @@ def manual_baseline(cfg: TrainConfig) -> RunResult:
             # the heuristic reads the state directly; it needs no observation
             action = manual_action(env.remaining, env.request)
             sum_reward += env.step(action)
-            total_steps += 1
+        total_steps += cfg.steps_per_episode
         rows.append(_episode_row(MANUAL, cfg.seed, env, episode, sum_reward, 0.0))
     return RunResult(format_run_id(MANUAL, cfg.seed), MANUAL, cfg.seed, rows, None, total_steps)
 
@@ -297,7 +298,7 @@ def manual_baseline(cfg: TrainConfig) -> RunResult:
 def make_probe_state(sim_cfg: SimConfig) -> np.ndarray:
     """Critical request in the first mini-slot, every resource fully occupied."""
     slots = sim_cfg.slots_per_subframe
-    return encode_state(sim_cfg, 0, RequestKind.CRITICAL, [slots] * sim_cfg.n_resources)
+    return encode_state(sim_cfg, 0, CRITICAL, [slots] * sim_cfg.n_resources)
 
 
 @dataclass
@@ -343,7 +344,7 @@ def probe_transition(sim_cfg: SimConfig) -> Transition:
     r_capacity = sim_cfg.n_resources * math.log1p(mean_gain)
     r = sim_cfg.w_capacity * r_capacity + sim_cfg.w_discard_critical * (-1.0)
     slots = sim_cfg.slots_per_subframe
-    s_next = encode_state(sim_cfg, 1, RequestKind.NONE, [slots - 1] * sim_cfg.n_resources)
+    s_next = encode_state(sim_cfg, 1, NONE, [slots - 1] * sim_cfg.n_resources)
     return Transition(s, 0, r, s_next)
 
 

@@ -277,6 +277,63 @@ class TestCmdTrain:
         bad.write_text("[sim]\nnope = 1\n")
         assert run("train", "--config", str(bad), "--out", str(tmp_path / "x")) == 1
 
+    def test_jobs_capped_at_reps_and_spawned(self, tmp_path, tiny_config, monkeypatch):
+        import concurrent.futures
+        import multiprocessing.process
+
+        pools = []
+
+        class InlinePool:
+            """Records how the pool is built and runs its tasks in this process."""
+
+            def __init__(self, max_workers, mp_context):
+                pools.append((max_workers, mp_context.get_start_method()))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        def no_process(self):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+        out = tmp_path / "run"
+        assert run("train", "--config", tiny_config, "--agent", "eg", "--seed", "1",
+                   "--reps", "2", "--jobs", "64", "--out", str(out)) == 0
+        assert pools == [(2, "spawn")]
+        rows = read_csv(out / "episodes.csv", EpisodeRow)
+        assert sorted({r.seed for r in rows}) == [1, 2]
+
+    def test_parallel_reps_match_serial_bytes(self, tmp_path, tiny_config, monkeypatch):
+        outs = {}
+        for jobs in ("1", "2"):
+            # the same relative --out, so the manifests' out_dir lines agree
+            (tmp_path / jobs).mkdir()
+            monkeypatch.chdir(tmp_path / jobs)
+            assert run("train", "--config", tiny_config, "--agent", "vb", "--seed", "4",
+                       "--reps", "2", "--jobs", jobs, "--checkpoint-every", "1",
+                       "--out", "run") == 0
+            outs[jobs] = tmp_path / jobs / "run"
+        serial, parallel = outs["1"], outs["2"]
+        assert (serial / "episodes.csv").read_bytes() == (parallel / "episodes.csv").read_bytes()
+        names = sorted(path.name for path in (serial / "checkpoints").iterdir())
+        assert names == sorted(path.name for path in (parallel / "checkpoints").iterdir())
+        assert len(names) == 4  # one after episode 1 and one final, per rep
+        for name in names:
+            assert (serial / "checkpoints" / name).read_bytes() == (
+                parallel / "checkpoints" / name).read_bytes()
+        serial_lines = (serial / "manifest.ini").read_text().splitlines()
+        parallel_lines = (parallel / "manifest.ini").read_text().splitlines()
+        assert len(serial_lines) == len(parallel_lines)
+        differing = [(a, b) for a, b in zip(serial_lines, parallel_lines) if a != b]
+        assert differing == [("jobs = 1", "jobs = 2")]
+
     def test_manifest_reproduces_run(self, tmp_path, tiny_config):
         out_a = str(tmp_path / "a")
         run("train", "--config", tiny_config, "--agent", "eg", "--seed", "5",
@@ -510,6 +567,24 @@ class TestCmdReport:
         assert text.count("<polyline") == 1  # one eg series
         assert "stroke-dasharray" in text  # baseline line present
         assert "steps until the new event" in capsys.readouterr().out
+
+    def test_markup_in_agent_names_is_escaped(self, tmp_path, tiny_config):
+        import xml.etree.ElementTree as ET
+        from dataclasses import replace
+
+        from punctrl.metrics import write_csv
+
+        runs = tmp_path / "runs"
+        run("train", "--config", tiny_config, "--agent", "eg", "--seed", "0",
+            "--reps", "1", "--out", str(runs / "eg"))
+        episodes = runs / "eg" / "episodes.csv"
+        rows = read_csv(episodes, EpisodeRow)
+        write_csv([replace(r, agent="a&b<c") for r in rows], episodes, EpisodeRow)
+        out = tmp_path / "report"
+        assert run("report", "--in", str(runs), "--out", str(out)) == 0
+        for name in ("rewards.svg", "tx_interrupted.svg", "urllc_missed.svg"):
+            texts = ET.parse(out / name).iter("{http://www.w3.org/2000/svg}text")
+            assert "a&b<c" in [el.text for el in texts]
 
     def test_summary_uses_sample_std(self, tmp_path, tiny_config):
         from punctrl.metrics import SummaryRow, read_csv as read

@@ -1,6 +1,9 @@
 """Every name a punctrl module imports is used there, and every function it defines has a caller."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +75,13 @@ def test_every_function_has_a_caller():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name not in called
     }
     assert uncalled == set()
+
+
+def test_cli_import_loads_no_process_pool():
+    """A single-job run never starts workers, so importing the CLI loads no pool machinery."""
+    probe = ("import sys, punctrl.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, timeout=60, env=env)
+    assert result.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ Any later change to ``sim.py`` or the baseline loop has to keep these bytes.
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from punctrl.estimator import ManualScheduler
-from punctrl.sim import PuncturingSim, RequestKind, SimConfig
+from punctrl.sim import PuncturingSim, RequestKind, SimConfig, sample_channel_gain
 from punctrl.train import TrainConfig, manual_action, manual_baseline
 
 # the baseline_manual benchmark's sim section: critical requests on 4 resources
@@ -88,6 +89,70 @@ def sims_and_actions(draw):
     return cfg, draw(st.integers(0, 2**32 - 1)), actions
 
 
+class TwoLoopSim(PuncturingSim):
+    """Reference loop version of ``begin_subframe`` and ``step``: capacity and countdown in
+    two separate loops, each config value read where it is used."""
+
+    def begin_subframe(self):
+        cfg = self.cfg
+        rng = self.rng
+        for k in range(cfg.n_resources):
+            if rng.random() < cfg.p_occupy:
+                self.remaining[k] = int(rng.integers(cfg.occupy_len_min, cfg.occupy_len_max + 1))
+                self.counters.tx_started += 1
+            else:
+                self.remaining[k] = 0
+            self.gain[k] = sample_channel_gain(rng, cfg.rayleigh_sigma)
+
+    def step(self, action):
+        cfg = self.cfg
+        if not 0 <= action <= cfg.n_resources:
+            raise ValueError(f"action must be in [0, {cfg.n_resources}], got {action}")
+        counters = self.counters
+        remaining = self.remaining
+        request = self.request
+        if action > 0:
+            counters.puncture_actions += 1
+            if remaining[action - 1] > 0:
+                counters.tx_interrupted += 1
+            remaining[action - 1] = 0
+            if request is not RequestKind.NONE:
+                counters.scheduled += 1
+                if request is RequestKind.CRITICAL:
+                    counters.scheduled_critical += 1
+                request = RequestKind.NONE
+        r_capacity = 0.0
+        for r, g in zip(remaining, self.gain):
+            if r > 0:
+                r_capacity += math.log1p(g)
+        r_discard = 0.0
+        r_discard_critical = 0.0
+        if request is RequestKind.CRITICAL:
+            r_discard_critical = -1.0
+            counters.discarded += 1
+            counters.discarded_critical += 1
+            request = RequestKind.NONE
+        elif request is RequestKind.NORMAL and self.slot_index == cfg.slots_per_subframe - 1:
+            r_discard = -1.0
+            counters.discarded += 1
+            request = RequestKind.NONE
+        self.request = request
+        r_total = (
+            cfg.w_capacity * r_capacity
+            + cfg.w_discard * r_discard
+            + cfg.w_discard_critical * r_discard_critical
+        )
+        for k, r in enumerate(remaining):
+            if r > 0:
+                remaining[k] = r - 1
+        self.slot_index += 1
+        if self.slot_index == cfg.slots_per_subframe:
+            self.slot_index = 0
+            self.begin_subframe()
+        self.maybe_spawn_request()
+        return r_total
+
+
 def check_invariants(sim):
     c = sim.counters
     assert c.arrived == c.scheduled + c.discarded + (sim.request is not RequestKind.NONE)
@@ -111,6 +176,32 @@ def test_counter_invariants_hold_after_every_step(case):
     for action in actions:
         sim.step(action)
         check_invariants(sim)
+
+
+def sim_state(sim):
+    return sim.observe().tobytes(), dataclasses.astuple(sim.counters)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sims_and_actions())
+def test_one_pass_step_equals_two_loop_reference(case):
+    cfg, seed, actions = case
+    sim = PuncturingSim(cfg, np.random.default_rng(seed))
+    reference = TwoLoopSim(cfg, np.random.default_rng(seed))
+    assert sim.reset().tobytes() == reference.reset().tobytes()
+    for action in actions:
+        assert sim.step(action).hex() == reference.step(action).hex()
+        assert sim_state(sim) == sim_state(reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(remaining=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+       kind=st.sampled_from(RequestKind))
+def test_manual_action_equals_keyed_min(remaining, kind):
+    # values in 0..3 over up to six resources, so most lists hold ties
+    expected = 0 if kind is RequestKind.NONE else (
+        1 + min(range(len(remaining)), key=remaining.__getitem__))
+    assert manual_action(remaining, kind) == expected
 
 
 def test_observation_decodes_to_the_heuristics_action():

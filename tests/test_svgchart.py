@@ -54,3 +54,13 @@ class TestEmitLinechart:
         # "dominant-baseline" contains the substring "nan"
         text = read(path).replace("dominant-baseline", "")
         assert "nan" not in text and "inf" not in text
+
+    def test_markup_in_title_and_labels_is_escaped(self, tmp_path):
+        import xml.etree.ElementTree as ET
+
+        path = tmp_path / "markup.svg"
+        emit_linechart([Series("<x>&y", [1, 2], [1.0, 2.0], lo=[0.5, 1.5], hi=[1.5, 2.5])],
+                       path, "a & b < c")
+        texts = [el.text for el in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")]
+        assert texts.count("a & b < c") == 2  # the title and the y-axis label
+        assert "<x>&y" in texts
