@@ -20,9 +20,6 @@ from .validation import check_state_matrix
 # rows per batched forward pass in DqnScheduler.decision_function
 PREDICT_BLOCK_ROWS = 1024
 
-# odd multiplier of the row-key mix (2**64 / golden ratio)
-_KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-
 # TrainConfig holders whose fields are flat estimator parameters
 HOLDERS = {"agent": AgentSpec, "sim": SimConfig}
 
@@ -63,34 +60,19 @@ def _derived_init(holders, learner: bool):
     return __init__
 
 
-def _row_keys(bits: np.ndarray) -> np.ndarray:
-    """One uint64 key per row of ``bits``; equal rows get equal keys.
-
-    Each column is folded in by xor, an odd multiply and an xorshift, each a
-    bijection, so rows that differ in one column never share a key.
-    """
-    key = np.zeros(bits.shape[0], dtype=np.uint64)
-    for column in bits.T:
-        key ^= column
-        key *= _KEY_MULTIPLIER
-        key ^= key >> np.uint64(29)
-    return key
-
-
 def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, inverse) for the distinct rows of a 2-D float array.
 
     ``X[first]`` holds each distinct row once, in the order of first
     appearance, and ``X[first][inverse]`` equals X byte for byte. Rows are
-    the same only when their bytes are, so 0.0 and -0.0 stay apart. Rows are
-    grouped by a 64-bit key and the grouping is then checked against the
-    rows themselves; if two different rows share a key, an exact row-wise
-    np.unique groups them instead.
+    the same only when their bytes are, so 0.0 and -0.0 stay apart: each
+    row is viewed as one opaque void scalar of its bytes, which np.unique
+    sorts and groups exactly.
     """
-    bits = X.view(np.uint64)
-    _, first, inverse = np.unique(_row_keys(bits), return_index=True, return_inverse=True)
-    if not all(np.array_equal(column[first][inverse], column) for column in bits.T):
-        _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    # the void view needs each row's bytes side by side
+    X = np.ascontiguousarray(X)
+    rows = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     # number the groups in order of first appearance, so rows that are all
     # distinct reach the network in their own order and blocks
     order = np.argsort(first)

@@ -90,12 +90,6 @@ class NetworkParams:
     def output_dim(self) -> int:
         return self.weights[-1].shape[0]
 
-    def arrays(self):
-        """All parameter arrays, weights interleaved with biases."""
-        for w, b in zip(self.weights, self.biases):
-            yield w
-            yield b
-
     def copy(self) -> "NetworkParams":
         params = NetworkParams(self.shapes)
         params.flat[:] = self.flat

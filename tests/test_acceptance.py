@@ -9,6 +9,7 @@ networks.
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -64,7 +65,8 @@ def trained():
     tasks = [(kind, seed) for kind in AGENTS for seed in SEEDS]
     runs = {kind: [] for kind in AGENTS}
     durations = []
-    with ProcessPoolExecutor(max_workers=2) as pool:
+    # spawn, not fork: numpy's BLAS may already have started threads
+    with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
         for kind, _, result, duration in pool.map(_train_one, tasks):
             runs[kind].append(result)
             durations.append(duration)

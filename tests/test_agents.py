@@ -309,16 +309,14 @@ def fd_loss_grads(params, target_params, tr, spec, noise, h=1e-5):
         return loss_grads(params, target_params, tr, spec, noise)[0]
 
     grads = params.zeros_like()
-    for p_arr, g_arr in zip(params.arrays(), grads.arrays()):
-        flat_p, flat_g = p_arr.ravel(), g_arr.ravel()
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h
-            hi = loss_at()
-            flat_p[i] = orig - h
-            lo = loss_at()
-            flat_p[i] = orig
-            flat_g[i] = (hi - lo) / (2 * h)
+    for i in range(params.flat.size):
+        orig = params.flat[i]
+        params.flat[i] = orig + h
+        hi = loss_at()
+        params.flat[i] = orig - h
+        lo = loss_at()
+        params.flat[i] = orig
+        grads.flat[i] = (hi - lo) / (2 * h)
     return grads
 
 
@@ -339,5 +337,5 @@ class TestFullLossGradients:
 
         _, analytic = loss_grads(params, target_params, tr, spec, noise)
         numeric = fd_loss_grads(params, target_params, tr, spec, noise)
-        for a, n in zip(analytic.arrays(), numeric.arrays()):
-            assert np.allclose(a, n, rtol=1e-4, atol=1e-7), f"{kind} gradient mismatch"
+        assert np.allclose(analytic.flat, numeric.flat, rtol=1e-4, atol=1e-7), \
+            f"{kind} gradient mismatch"

@@ -2,8 +2,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from punctrl import estimator
 from punctrl.config import SCHEMA, load_config
 from punctrl.estimator import PREDICT_BLOCK_ROWS, DqnScheduler, ManualScheduler, distinct_rows
 from punctrl.net import forward, split_gaussian
@@ -34,6 +36,17 @@ def undeduplicated_values(est, X):
 
 def same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_grouping(X):
+    """(first, inverse) as lists: rows keyed by their bytes, groups numbered by first appearance."""
+    groups, first, inverse = {}, [], []
+    for i, row in enumerate(X):
+        if row.tobytes() not in groups:
+            groups[row.tobytes()] = len(first)
+            first.append(i)
+        inverse.append(groups[row.tobytes()])
+    return first, inverse
 
 
 def tiny_scheduler(**overrides):
@@ -197,18 +210,23 @@ class TestDistinctRows:
         first, inverse = distinct_rows(np.empty((0, 5)))
         assert first.shape == inverse.shape == (0,)
 
-    def test_key_collision_falls_back_to_exact_grouping(self, monkeypatch):
+    @settings(max_examples=200, deadline=None)
+    @given(X=arrays(float, st.tuples(st.integers(0, 40), st.integers(1, 4)),
+                    elements=st.sampled_from([0.0, -0.0, 1 / 3, 1.0])))
+    def test_matches_reference_grouping(self, X):
+        assert [a.tolist() for a in distinct_rows(X)] == list(reference_grouping(X))
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_non_contiguous_rows_match_contiguous_copy(self, layout, every_state):
+        states = every_state(SimConfig())
+        Y = states[np.random.default_rng(15).integers(0, states.shape[0], 4000)]
+        X = np.asfortranarray(Y) if layout == "fortran" else Y[::2]
+        C = np.ascontiguousarray(X)
+        assert not X.flags.c_contiguous
         est = reference_scheduler("vb")
-        rng = np.random.default_rng(15)
-        X = rng.uniform(0, 1, size=(400, 5))[rng.integers(0, 400, 1000)]
-        expected_first, _ = distinct_rows(X)
-        expected = est.decision_function(X)
-        # every row gets the same key, so the grouping check must fail
-        monkeypatch.setattr(estimator, "_row_keys", lambda bits: np.zeros(bits.shape[0], np.uint64))
-        first, inverse = distinct_rows(X)
-        assert first.shape == expected_first.shape
-        assert same_bytes(X[first][inverse], X)
-        assert same_bytes(est.decision_function(X), expected)
+        assert same_bytes(est.decision_function(X), est.decision_function(C))
+        manual = ManualScheduler()
+        assert same_bytes(manual.predict(X), manual.predict(C))
 
 
 class TestManualScheduler:

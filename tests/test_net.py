@@ -293,17 +293,14 @@ class TestGaussianHead:
 def finite_difference_grads(params, s, loss_of_output, h=1e-5):
     """Central differences through the forward pass for an arbitrary loss."""
     grads = params.zeros_like()
-    for p_arr, g_arr in zip(params.arrays(), grads.arrays()):
-        flat_p = p_arr.ravel()
-        flat_g = g_arr.ravel()
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h
-            hi = loss_of_output(forward(params, s))
-            flat_p[i] = orig - h
-            lo = loss_of_output(forward(params, s))
-            flat_p[i] = orig
-            flat_g[i] = (hi - lo) / (2 * h)
+    for i in range(params.flat.size):
+        orig = params.flat[i]
+        params.flat[i] = orig + h
+        hi = loss_of_output(forward(params, s))
+        params.flat[i] = orig - h
+        lo = loss_of_output(forward(params, s))
+        params.flat[i] = orig
+        grads.flat[i] = (hi - lo) / (2 * h)
     return grads
 
 
@@ -313,7 +310,7 @@ class TestBackward:
         params = NetworkParams.init(4, (5,), 2, rng)
         out, cache = forward_cached(params, rng.standard_normal(4), ForwardCache(params))
         grads = backward(params, cache, np.zeros_like(out), params.zeros_like())
-        assert all(np.all(a == 0.0) for a in grads.arrays())
+        assert np.all(grads.flat == 0.0)
 
     def test_linear_net_hand_calculus(self):
         # single linear layer, loss = out^2: dL/dw = 2 * out * input
@@ -337,8 +334,7 @@ class TestBackward:
         out, cache = forward_cached(params, s, ForwardCache(params))
         analytic = backward(params, cache, coeff, params.zeros_like())
         numeric = finite_difference_grads(params, s, loss_of_output)
-        for a, n in zip(analytic.arrays(), numeric.arrays()):
-            assert np.allclose(a, n, rtol=1e-4, atol=1e-7)
+        assert np.allclose(analytic.flat, numeric.flat, rtol=1e-4, atol=1e-7)
 
 
 class TestAdam:
@@ -427,18 +423,17 @@ class TestPolyak:
         online = NetworkParams.init(3, (4,), 2, rng)
         target = NetworkParams.init(3, (4,), 2, rng)
         tau = 0.05
-        gaps_before = [np.abs(t - o) for t, o in zip(target.arrays(), online.arrays())]
+        gap_before = np.abs(target.flat - online.flat)
         pair = TargetPair(online, tau=tau)
         pair.target = target
         pair.polyak_update()
-        for t, o, gap in zip(target.arrays(), online.arrays(), gaps_before):
-            assert np.allclose(np.abs(t - o), (1 - tau) * gap, atol=1e-12)
+        assert np.allclose(np.abs(target.flat - online.flat), (1 - tau) * gap_before, atol=1e-12)
 
     def test_target_initialized_as_copy(self):
         rng = np.random.default_rng(10)
         online = NetworkParams.init(3, (4,), 2, rng)
         pair = TargetPair(online, tau=1e-4)
-        assert all(np.array_equal(t, o) for t, o in zip(pair.target.arrays(), online.arrays()))
+        assert np.array_equal(pair.target.flat, online.flat)
         pair.target.weights[0][0, 0] += 1.0
         assert pair.target.weights[0][0, 0] != online.weights[0][0, 0]
 
