@@ -1,4 +1,5 @@
-"""Named random substreams derived from a single 64-bit seed.
+"""Named random substreams derived from a single 64-bit seed, and a block
+reader of a generator's stream.
 
 Every source of randomness in a run (environment draws, weight init,
 action noise, probe repetitions) gets its own generator keyed by a stream
@@ -15,6 +16,11 @@ STREAM_ACTION = "action"
 STREAM_PROBE = "probe"
 
 U64_MAX = 2**64 - 1
+
+# raw 64-bit words BlockDraws fetches per call into numpy
+BLOCK = 1024
+_U32_MASK = 2**32 - 1
+_DOUBLE_UNIT = 2.0**-53
 
 
 def check_seed(seed: int) -> int:
@@ -36,3 +42,71 @@ def substream(seed: int, name: str) -> np.random.Generator:
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
     return np.random.default_rng(np.random.SeedSequence([seed, *words]))
+
+
+class BlockDraws:
+    """The scalar draws of a PCG64 ``Generator``, read from its raw words in blocks.
+
+    ``random()`` and ``integers(low, high)`` return exactly what
+    ``rng.random()`` and ``int(rng.integers(low, high))`` would, in the same
+    call order, at a fraction of numpy's cost per call: the words come
+    from ``random_raw`` ``BLOCK`` at a time, and the values are computed
+    from them by numpy's own rules. ``random`` is a word's top 53 bits
+    times 2**-53 (O'Neill 2014, "PCG"). ``integers`` is numpy's
+    ``buffered_bounded_lemire_uint32`` (Lemire 2019, "Fast Random Integer
+    Generation in an Interval"): it takes 32-bit halves, the low half of a
+    word first and its high half on the next call, as PCG64's
+    ``has_uint32`` buffer does, and it keeps the rejection loop.
+
+    The reader owns the generator: its bit generator runs up to a block
+    ahead of the draws, so nothing else may draw from it afterwards.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bit_generator = rng.bit_generator
+        state = bit_generator.state
+        if state["bit_generator"] != "PCG64":
+            raise ValueError(f"BlockDraws needs a PCG64 generator, got {state['bit_generator']}")
+        self._raw = bit_generator.random_raw
+        self._words = []
+        self._pos = 0
+        # the high half-word PCG64 holds from an earlier 32-bit draw, if any
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def _next_word(self) -> int:
+        pos = self._pos
+        if pos == len(self._words):
+            self._words = self._raw(BLOCK).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return self._words[pos]
+
+    def random(self) -> float:
+        """A float uniform on [0, 1), as ``Generator.random()``."""
+        return (self._next_word() >> 11) * _DOUBLE_UNIT
+
+    def _next_uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._next_word()
+        self._half = word >> 32
+        return word & _U32_MASK
+
+    def integers(self, low: int, high: int) -> int:
+        """An int uniform on [low, high), as ``int(Generator.integers(low, high))``."""
+        span = high - low
+        if span == 1:
+            return low
+        if not 1 <= span <= 2**32:
+            raise ValueError(f"integers needs 1 <= high - low <= 2**32, got {span}")
+        m = self._next_uint32() * span
+        leftover = m & _U32_MASK
+        if leftover < span:
+            # reject the low products that would bias the result
+            threshold = 2**32 % span
+            while leftover < threshold:
+                m = self._next_uint32() * span
+                leftover = m & _U32_MASK
+        return low + (m >> 32)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .seeding import BlockDraws
 from .validation import check_count, check_finite, check_positive, check_probability
 
 
@@ -122,7 +123,9 @@ def gain_from_uniform(u: float, sigma: float) -> float:
     return -2.0 * math.log(u) * sigma * sigma
 
 
-def sample_channel_gain(rng: np.random.Generator, sigma: float) -> float:
+def sample_channel_gain(rng, sigma: float) -> float:
+    """One power gain from ``rng.random()``; any object with that method will do,
+    a ``Generator`` or a ``BlockDraws``."""
     # 1 - random() lies in (0, 1], excluding the log singularity at 0
     return gain_from_uniform(1.0 - rng.random(), sigma)
 
@@ -141,11 +144,16 @@ class PuncturingSim:
     mini-slots its transmission still occupies (``remaining``) and its power
     gain (``gain``), the kind of the outstanding request (``request``) and
     the event ``counters``.
+
+    The simulator owns ``rng``. It draws through a ``BlockDraws`` reader,
+    which gives the values ``rng.random()`` and ``rng.integers()`` would, in
+    the same order, but whose bit generator runs up to a block of words
+    ahead of the draws; nothing else may draw from ``rng`` afterwards.
     """
 
     def __init__(self, cfg: SimConfig, rng: np.random.Generator):
         self.cfg = cfg.validate()
-        self.rng = rng
+        self.rng = BlockDraws(rng)
         self._clear()
 
     def _clear(self) -> None:
@@ -175,7 +183,7 @@ class PuncturingSim:
         sigma = cfg.rayleigh_sigma
         for k in range(cfg.n_resources):
             if rng.random() < p_occupy:
-                remaining[k] = int(rng.integers(len_min, len_end))
+                remaining[k] = rng.integers(len_min, len_end)
                 counters.tx_started += 1
             else:
                 remaining[k] = 0

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from punctrl.seeding import check_seed, substream
+from punctrl.seeding import BLOCK, BlockDraws, check_seed, substream
+
+# 2**31 + 1 rejects about half its 32-bit draws, so it runs the rejection loop;
+# 2**32 takes whole 32-bit draws
+SPANS = (1, 2, 3, 7, 2**31 + 1, 2**32)
 
 
 class TestSubstreams:
@@ -37,3 +43,48 @@ class TestSubstreams:
             check_seed(2**64)
         with pytest.raises(ValueError):
             check_seed(1.5)
+
+
+# None is a random() call, (low, span) an integers(low, low + span) call
+CALLS = st.lists(st.one_of(st.none(), st.tuples(st.integers(-2**40, 2**40), st.sampled_from(SPANS))),
+                 max_size=30)
+
+
+class TestBlockDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), calls=CALLS, held_half=st.booleans())
+    def test_equals_numpy_call_for_call(self, seed, calls, held_half):
+        reference = np.random.default_rng(seed)
+        wrapped = np.random.default_rng(seed)
+        if held_half:
+            # PCG64 now holds the high half of a word for the next 32-bit draw
+            assert reference.integers(0, 5) == wrapped.integers(0, 5)
+        reader = BlockDraws(wrapped)
+        calls = calls + [None]  # every cycle reads at least one word
+        words = 0.0  # a lower bound on the raw words read so far
+        while words <= 2 * BLOCK + 1:
+            for call in calls:
+                if call is None:
+                    expected, got = reference.random(), reader.random()
+                    words += 1
+                else:
+                    low, span = call
+                    expected = int(reference.integers(low, low + span))
+                    got = reader.integers(low, low + span)
+                    words += 0.5 if span > 1 else 0
+                assert type(got) is type(expected)
+                assert got == expected
+
+    def test_other_bit_generators_are_refused(self):
+        with pytest.raises(ValueError, match="PCG64"):
+            BlockDraws(np.random.Generator(np.random.MT19937(0)))
+
+    @pytest.mark.parametrize("span", [0, -1, 2**32 + 1])
+    def test_spans_outside_numpys_32_bit_rule_are_refused(self, span):
+        with pytest.raises(ValueError, match="high - low"):
+            BlockDraws(np.random.default_rng(0)).integers(5, 5 + span)
+
+    def test_span_one_draws_nothing(self):
+        reader = BlockDraws(np.random.default_rng(3))
+        assert reader.integers(9, 10) == 9
+        assert reader.random() == np.random.default_rng(3).random()

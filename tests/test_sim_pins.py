@@ -91,7 +91,12 @@ def sims_and_actions(draw):
 
 class TwoLoopSim(PuncturingSim):
     """Reference loop version of ``begin_subframe`` and ``step``: capacity and countdown in
-    two separate loops, each config value read where it is used."""
+    two separate loops, each config value read where it is used. It draws from the numpy
+    ``Generator`` it is given, not through a ``BlockDraws`` reader."""
+
+    def __init__(self, cfg, rng):
+        super().__init__(cfg, rng)
+        self.rng = rng
 
     def begin_subframe(self):
         cfg = self.cfg
@@ -185,6 +190,7 @@ def sim_state(sim):
 @settings(max_examples=150, deadline=None)
 @given(case=sims_and_actions())
 def test_one_pass_step_equals_two_loop_reference(case):
+    # checks the one-pass step and the block draws against numpy's own draws
     cfg, seed, actions = case
     sim = PuncturingSim(cfg, np.random.default_rng(seed))
     reference = TwoLoopSim(cfg, np.random.default_rng(seed))
