@@ -1,3 +1,7 @@
+import hashlib
+
+import pytest
+
 from punctrl.svgchart import Series, emit_linechart
 
 
@@ -64,3 +68,45 @@ class TestEmitLinechart:
         texts = [el.text for el in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")]
         assert texts.count("a & b < c") == 2  # the title and the y-axis label
         assert "<x>&y" in texts
+
+
+def _band(label, xs, mean, width):
+    return Series(label, list(xs), list(mean), lo=[v - width for v in mean],
+                  hi=[v + width for v in mean])
+
+
+# Inputs that reach every branch of emit_linechart; each case is (series, title, baseline).
+PIN_CASES = {
+    "empty": ([], "t", None),
+    "one_point": ([Series("eg", [3], [1.5], lo=[1.0], hi=[2.0])], "reward", None),
+    "six_fallback": (
+        [_band(f"s{i}", range(1, 9), [0.3 * i + 0.1 * x for x in range(8)], 0.05 * (i + 1))
+         for i in range(6)],
+        "mean reward",
+        -2.5,
+    ),
+    "constant": ([Series("vb", [1, 2, 3], [5.0] * 3, lo=[5.0] * 3, hi=[5.0] * 3)], "c", None),
+    "markup": (
+        [_band("me", [0, 5, 10], [-1.0, 0.5, 2.0], 0.4),
+         _band("<x>&y", [0, 5, 10], [0.0, -0.5, 1.0], 0.2)],
+        "a & b < c > d",
+        0.25,
+    ),
+}
+
+# sha256 of each case's file, computed before the element writers were merged
+PIN_DIGESTS = {
+    "empty": "67deeadd19a38fc7e40c3ec707caedd13845e84b24e4ab14b0caf6c280c8517a",
+    "one_point": "b9b327d728ca39ea5a17de0989d9f49223f0bd25468d73724296211e5b6991d3",
+    "six_fallback": "6acc41ba60e3f610980b88dab3dc5938d18abf1d27662ac3cf30fab5c2677b36",
+    "constant": "7f3948f29e755fb7615b784d49efd859278718bed78c9123f235c1cc8e255a47",
+    "markup": "fdb4bf16d78c53ebbae2297436e0c685267591973936f5fc7d236176884ad7ad",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIN_CASES))
+def test_chart_bytes_pinned(tmp_path, case):
+    series, title, baseline = PIN_CASES[case]
+    path = tmp_path / f"{case}.svg"
+    emit_linechart(series, path, title, baseline=baseline)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PIN_DIGESTS[case]
