@@ -9,7 +9,7 @@ import argparse
 import glob
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from itertools import groupby
 
 from .agents import AGENT_KINDS
@@ -193,11 +193,15 @@ def cmd_probe(args) -> int:
     if not files:
         print(f"no checkpoints of the runs in {manifest} found under {root}", file=sys.stderr)
         return 1
+    spec = cfg.agent
+    expected = NetworkParams.zeros(*network_dims(cfg, spec)).shapes
     rows = []
     for path in files:
         params, kind, _ = load_checkpoint(path)
-        spec = replace(cfg.agent, kind=kind).validate()
-        expected = NetworkParams.zeros(*network_dims(cfg, spec)).shapes
+        if kind != spec.kind:
+            print(f"{path} holds a {kind} agent, but {manifest} gives {spec.kind}",
+                  file=sys.stderr)
+            return 1
         if params.shapes != expected:
             print(f"{path} holds weight shapes {params.shapes}, but {manifest} gives "
                   f"{expected}", file=sys.stderr)

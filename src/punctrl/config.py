@@ -64,8 +64,6 @@ def _parse_dims(text: str) -> tuple:
         dims = tuple(int(part.strip(), 10) for part in text.split(",") if part.strip())
     except ValueError:
         raise ValueError(f"expected comma-separated layer widths, got {text!r}")
-    if not dims:
-        raise ValueError("hidden_dims must name at least one layer width")
     return dims
 
 

@@ -112,22 +112,15 @@ class SimCounters:
     discarded_critical: int = 0
 
 
-def gain_from_uniform(u: float, sigma: float) -> float:
+def sample_channel_gain(rng, sigma: float) -> float:
     """Rayleigh-squared power gain by inverse transform: g = sigma^2 * (-2 ln u).
 
-    The amplitude sigma*sqrt(-2 ln u) is Rayleigh(sigma) for u uniform on
-    (0, 1]; its square is the power gain, with mean 2*sigma^2.
+    u = 1 - ``rng.random()`` lies in (0, 1], excluding the log singularity at
+    0; the amplitude sigma*sqrt(-2 ln u) is then Rayleigh(sigma) and its
+    square, the power gain, has mean 2*sigma^2. ``rng`` is any object with a
+    ``random()`` method, a ``Generator`` or a ``BlockDraws``.
     """
-    if not 0.0 < u <= 1.0:
-        raise ValueError(f"u must lie in (0, 1], got {u}")
-    return -2.0 * math.log(u) * sigma * sigma
-
-
-def sample_channel_gain(rng, sigma: float) -> float:
-    """One power gain from ``rng.random()``; any object with that method will do,
-    a ``Generator`` or a ``BlockDraws``."""
-    # 1 - random() lies in (0, 1], excluding the log singularity at 0
-    return gain_from_uniform(1.0 - rng.random(), sigma)
+    return -2.0 * math.log(1.0 - rng.random()) * sigma * sigma
 
 
 class PuncturingSim:

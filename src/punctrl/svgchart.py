@@ -79,8 +79,15 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _series_color(series: Series, index: int) -> str:
-    return PALETTE.get(series.label, FALLBACK_COLORS[index % len(FALLBACK_COLORS)])
+def _line(x1, y1, x2, y2, stroke, width, extra="") -> str:
+    """One ``<line>``; coordinates come formatted, ``extra`` holds further attributes."""
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" '
+            f'stroke-width="{width}"{extra}/>')
+
+
+def _text(x, y, size, fill, body, extra="") -> str:
+    """One ``<text>``; coordinates come formatted and ``body`` escaped."""
+    return f'<text x="{x}" y="{y}" font-size="{size}" fill="{fill}"{extra}>{body}</text>'
 
 
 def emit_linechart(series, path, title: str, baseline: float | None = None) -> None:
@@ -102,6 +109,10 @@ def emit_linechart(series, path, title: str, baseline: float | None = None) -> N
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
+    left, right = _fmt(MARGIN_L), _fmt(WIDTH - MARGIN_R)
+    top, bottom = _fmt(MARGIN_T), _fmt(MARGIN_T + plot_h)
+    colors = [PALETTE.get(s.label, FALLBACK_COLORS[i % len(FALLBACK_COLORS)])
+              for i, s in enumerate(series)]
 
     def px(x):
         return MARGIN_L + (x - x0) / (x1 - x0) * plot_w
@@ -118,38 +129,20 @@ def emit_linechart(series, path, title: str, baseline: float | None = None) -> N
 
     for t in _ticks(y0, y1):
         y = _fmt(py(t))
-        parts.append(
-            f'<line x1="{_fmt(MARGIN_L)}" y1="{y}" x2="{_fmt(WIDTH - MARGIN_R)}" y2="{y}" '
-            'stroke="#e4e4e4" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(MARGIN_L - 7)}" y="{y}" font-size="11" fill="#444444" '
-            f'text-anchor="end" dominant-baseline="middle">{_label(t)}</text>'
-        )
+        parts.append(_line(left, y, right, y, "#e4e4e4", 1))
+        parts.append(_text(_fmt(MARGIN_L - 7), y, 11, "#444444", _label(t),
+                           ' text-anchor="end" dominant-baseline="middle"'))
     for t in _ticks(x0, x1, target=8):
         x = _fmt(px(t))
-        parts.append(
-            f'<line x1="{x}" y1="{_fmt(MARGIN_T + plot_h)}" x2="{x}" '
-            f'y2="{_fmt(MARGIN_T + plot_h + 5)}" stroke="#444444" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x}" y="{_fmt(MARGIN_T + plot_h + 18)}" font-size="11" '
-            f'fill="#444444" text-anchor="middle">{_label(t)}</text>'
-        )
+        parts.append(_line(x, bottom, x, _fmt(MARGIN_T + plot_h + 5), "#444444", 1))
+        parts.append(_text(x, _fmt(MARGIN_T + plot_h + 18), 11, "#444444", _label(t),
+                           ' text-anchor="middle"'))
 
     # axes drawn after the grid so they stay visible
-    parts.append(
-        f'<line x1="{_fmt(MARGIN_L)}" y1="{_fmt(MARGIN_T)}" x2="{_fmt(MARGIN_L)}" '
-        f'y2="{_fmt(MARGIN_T + plot_h)}" stroke="#000000" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(MARGIN_L)}" y1="{_fmt(MARGIN_T + plot_h)}" '
-        f'x2="{_fmt(WIDTH - MARGIN_R)}" y2="{_fmt(MARGIN_T + plot_h)}" '
-        'stroke="#000000" stroke-width="1"/>'
-    )
+    parts.append(_line(left, top, left, bottom, "#000000", 1))
+    parts.append(_line(left, bottom, right, bottom, "#000000", 1))
 
-    for i, s in enumerate(series):
-        color = _series_color(s, i)
+    for s, color in zip(series, colors):
         if len(s.x) > 1:
             fwd = " ".join(f"{_fmt(px(x))},{_fmt(py(lo))}" for x, lo in zip(s.x, s.lo))
             back = " ".join(
@@ -158,45 +151,24 @@ def emit_linechart(series, path, title: str, baseline: float | None = None) -> N
             parts.append(f'<polygon points="{fwd} {back}" fill="{color}" fill-opacity="0.15"/>')
     if baseline is not None:
         y = _fmt(py(baseline))
-        parts.append(
-            f'<line x1="{_fmt(MARGIN_L)}" y1="{y}" x2="{_fmt(WIDTH - MARGIN_R)}" y2="{y}" '
-            'stroke="#333333" stroke-width="1.4" stroke-dasharray="6,4"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(WIDTH - MARGIN_R - 4)}" y="{_fmt(py(baseline) - 5)}" '
-            'font-size="11" fill="#333333" text-anchor="end">manual</text>'
-        )
-    for i, s in enumerate(series):
-        color = _series_color(s, i)
+        parts.append(_line(left, y, right, y, "#333333", 1.4, ' stroke-dasharray="6,4"'))
+        parts.append(_text(_fmt(WIDTH - MARGIN_R - 4), _fmt(py(baseline) - 5), 11, "#333333",
+                           "manual", ' text-anchor="end"'))
+    for s, color in zip(series, colors):
         pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(s.x, s.mean))
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>'
-        )
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>')
 
-    for i, s in enumerate(series):
-        color = _series_color(s, i)
+    legend_y = _fmt(MARGIN_T + 12)
+    for i, (s, color) in enumerate(zip(series, colors)):
         lx = MARGIN_L + 12 + i * 72
-        parts.append(
-            f'<line x1="{_fmt(lx)}" y1="{_fmt(MARGIN_T + 12)}" x2="{_fmt(lx + 22)}" '
-            f'y2="{_fmt(MARGIN_T + 12)}" stroke="{color}" stroke-width="2.4"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(lx + 27)}" y="{_fmt(MARGIN_T + 16)}" font-size="12" '
-            f'fill="#111111">{_escape(s.label)}</text>'
-        )
+        parts.append(_line(_fmt(lx), legend_y, _fmt(lx + 22), legend_y, color, 2.4))
+        parts.append(_text(_fmt(lx + 27), _fmt(MARGIN_T + 16), 12, "#111111", _escape(s.label)))
 
-    parts.append(
-        f'<text x="{_fmt(WIDTH / 2)}" y="20" font-size="14" fill="#111111" '
-        f'text-anchor="middle">{title}</text>'
-    )
-    parts.append(
-        f'<text x="{_fmt(MARGIN_L + plot_w / 2)}" y="{_fmt(HEIGHT - 10)}" font-size="12" '
-        'fill="#111111" text-anchor="middle">episode</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_fmt(MARGIN_T + plot_h / 2)}" font-size="12" fill="#111111" '
-        f'text-anchor="middle" transform="rotate(-90 16 {_fmt(MARGIN_T + plot_h / 2)})">'
-        f"{title}</text>"
-    )
+    mid_y = _fmt(MARGIN_T + plot_h / 2)
+    parts.append(_text(_fmt(WIDTH / 2), "20", 14, "#111111", title, ' text-anchor="middle"'))
+    parts.append(_text(_fmt(MARGIN_L + plot_w / 2), _fmt(HEIGHT - 10), 12, "#111111",
+                       "episode", ' text-anchor="middle"'))
+    parts.append(_text("16", mid_y, 12, "#111111", title,
+                       f' text-anchor="middle" transform="rotate(-90 16 {mid_y})"'))
     parts.append("</svg>")
     write_atomic(path, ("\n".join(parts) + "\n").encode("utf-8"))

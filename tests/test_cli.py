@@ -165,6 +165,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("text, line, key", [
         ("[train]\nepisodes = 2\nhidden_dims = 8,0\n", 3, "hidden_dims"),
+        ("[train]\nepisodes = 2\nhidden_dims = ,\n", 3, "hidden_dims"),
         ("[sim]\noccupy_len_min = 6\noccupy_len_max = 5\n", 3, "occupy_len_max"),
         ("[run]\nseed = 1\n\n[agent]\nkind = xx\n", 5, "kind"),
         ("[agent]\nme_sign = yy\n", 2, "me_sign"),
@@ -468,6 +469,21 @@ class TestCmdProbe:
             assert os.path.join(trained_dir, "checkpoints", "eg-s1_final.ckpt") in err
         assert not os.path.exists(os.path.join(trained_dir, "reaction"))
         assert not os.path.exists(os.path.join(trained_dir, "probes.csv"))
+
+    def test_checkpoint_kind_not_matching_manifest_fails(self, tmp_path, trained_dir, capsys):
+        # vb and me heads have the same shapes, so only the stored kind tells them apart
+        from punctrl.train import load_checkpoint, save_checkpoint
+
+        vb_dir = str(tmp_path / "run_vb")
+        ckpt = os.path.join(vb_dir, "checkpoints", "vb-s1_final.ckpt")
+        params, _, steps = load_checkpoint(ckpt)
+        save_checkpoint(ckpt, params, "me", steps)
+        for mode in ("reaction", "adapt"):
+            assert run("probe", "--checkpoints", vb_dir, "--mode", mode) == 1
+            err = capsys.readouterr().err
+            assert ckpt in err and os.path.join(vb_dir, "manifest.ini") in err
+        assert not os.path.exists(os.path.join(vb_dir, "reaction"))
+        assert not os.path.exists(os.path.join(vb_dir, "probes.csv"))
 
     def test_missing_manifest_fails(self, trained_dir, capsys):
         os.remove(os.path.join(trained_dir, "manifest.ini"))

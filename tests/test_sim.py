@@ -11,7 +11,6 @@ from punctrl.sim import (
     SimCounters,
     decode_state,
     encode_state,
-    gain_from_uniform,
     sample_channel_gain,
 )
 
@@ -29,17 +28,30 @@ def step_with_deltas(sim, action):
     return r_total, {name: after[name] - before[name] for name in before}
 
 
+class FixedDraw:
+    """An rng whose every ``random()`` returns ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
 class TestChannelGain:
     def test_u_equal_one_gives_zero(self):
-        assert gain_from_uniform(1.0, 1.0) == 0.0
+        # u = 1 - random() = 1
+        assert sample_channel_gain(FixedDraw(0.0), 1.0) == 0.0
 
     def test_hand_inverted_quantile(self):
         # |h| = sqrt(-2 ln u) = 1 exactly at u = e^(-1/2)
-        assert gain_from_uniform(math.exp(-0.5), 1.0) == pytest.approx(1.0, abs=1e-12)
+        gain = sample_channel_gain(FixedDraw(1.0 - math.exp(-0.5)), 1.0)
+        assert gain == pytest.approx(1.0, abs=1e-12)
 
     def test_u_zero_rejected(self):
+        # u = 1 - random() = 0 is the log singularity
         with pytest.raises(ValueError):
-            gain_from_uniform(0.0, 1.0)
+            sample_channel_gain(FixedDraw(1.0), 1.0)
 
     def test_monte_carlo_mean_matches_analytic(self):
         # E[g] = 2 sigma^2 for a squared Rayleigh amplitude
