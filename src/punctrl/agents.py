@@ -95,14 +95,16 @@ def select_action(
     Gaussian head and act greedily on the sample; the sampling itself is the
     exploration, and noise is the standard-normal draw the loss replays.
     """
+    # here and in the losses, reductions are ndarray methods: the same ufunc
+    # reduction as np.argmax, np.max and np.sum without their Python wrappers
     if spec.kind == EG:
         q = np.asarray(head_out, dtype=float)
         if rng.random() < epsilon:
             return int(rng.integers(0, q.shape[0])), None
-        return int(np.argmax(q)), None
+        return int(q.argmax()), None
     mu, log_sigma = split_gaussian(np.asarray(head_out, dtype=float))
     q, noise = sample_gaussian_head(mu, log_sigma, rng)
-    return int(np.argmax(q)), noise
+    return int(q.argmax()), noise
 
 
 def td_components(
@@ -118,7 +120,7 @@ def td_components(
     Episodes truncate rather than end, so every transition bootstraps.
     """
     prediction = float(online_q[tr.a])
-    bootstrap_target = tr.r + spec.gamma * float(np.max(target_q_next))
+    bootstrap_target = tr.r + spec.gamma * float(target_q_next.max())
     return prediction, bootstrap_target
 
 
@@ -138,9 +140,9 @@ def loss_vb(spec: AgentSpec, q, mu, log_sigma, sigma, noise):
     and -1 for log_sigma, which is what keeps the variance from collapsing.
     """
     w = spec.w_lp
-    loss = w * float(np.sum(gaussian_log_density(q, mu, log_sigma)))
+    loss = w * float(gaussian_log_density(q, mu, log_sigma).sum())
     # per action on Python floats, whose IEEE results equal numpy's without
-    # its cost per call; np.exp and np.sum round and order as before
+    # its cost per call; np.exp and the sum round and order as before
     grad_mu, grad_ls = [], []
     for qi, mi, si, ni, inv_var in zip(q.tolist(), mu.tolist(), sigma.tolist(), noise.tolist(),
                                        np.exp(-2.0 * log_sigma).tolist()):
@@ -165,10 +167,10 @@ def loss_me(spec: AgentSpec, q, sigma, noise):
     weight = (-1.0 if spec.me_sign == SIGN_UNIFORM_PRIOR else 1.0) * spec.w_me
     low = spec.softmax_clip_low
     # softmax shifted by the maximum, so no exp overflows
-    e = np.exp(q - np.max(q))
-    # per action on Python floats, as in loss_vb; np.log and np.sum stay numpy
-    sm_raw = (e / np.sum(e)).tolist()
-    loss = weight * float(np.sum(np.log([min(max(s, low), 1.0) for s in sm_raw])))
+    e = np.exp(q - q.max())
+    # per action on Python floats, as in loss_vb; np.log and the sum stay numpy
+    sm_raw = (e / e.sum()).tolist()
+    loss = weight * float(np.log([min(max(s, low), 1.0) for s in sm_raw]).sum())
     unclamped = [s >= low for s in sm_raw]
     k = float(sum(unclamped))
     # d/dq_j sum_{i unclamped} log sm_i = [j unclamped] - k * sm_j

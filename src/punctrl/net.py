@@ -265,7 +265,7 @@ class Adam:
         np.multiply(g, 1.0 - ADAM_BETA1, out=buf)
         m += buf
         v *= ADAM_BETA2
-        np.multiply(g, g, out=buf)
+        np.square(g, out=buf)
         buf *= 1.0 - ADAM_BETA2
         v += buf
         # update = scale * m / (sqrt(v) / root_bc2 + eps), assembled in place

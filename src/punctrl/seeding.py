@@ -52,7 +52,8 @@ class BlockDraws:
     call order, at a fraction of numpy's cost per call: the words come
     from ``random_raw`` ``BLOCK`` at a time, and the values are computed
     from them by numpy's own rules. ``random`` is a word's top 53 bits
-    times 2**-53 (O'Neill 2014, "PCG"). ``integers`` is numpy's
+    times 2**-53 (O'Neill 2014, "PCG"), decoded for a whole block at once
+    when the block is fetched. ``integers`` is numpy's
     ``buffered_bounded_lemire_uint32`` (Lemire 2019, "Fast Random Integer
     Generation in an Interval"): it takes 32-bit halves, the low half of a
     word first and its high half on the next call, as PCG64's
@@ -68,22 +69,37 @@ class BlockDraws:
         if state["bit_generator"] != "PCG64":
             raise ValueError(f"BlockDraws needs a PCG64 generator, got {state['bit_generator']}")
         self._raw = bit_generator.random_raw
+        # a block's words and their uniforms, read at one shared position;
+        # none is fetched yet, so the first draw fetches one
         self._words = []
-        self._pos = 0
+        self._floats = []
+        self._pos = BLOCK
         # the high half-word PCG64 holds from an earlier 32-bit draw, if any
         self._half = state["uinteger"] if state["has_uint32"] else None
 
+    def _refill(self) -> None:
+        raw = self._raw(BLOCK)
+        self._words = raw.tolist()
+        # exact: the top 53 bits convert to float64 without rounding, and
+        # the power-of-two scale only shifts the exponent
+        self._floats = ((raw >> 11) * _DOUBLE_UNIT).tolist()
+
     def _next_word(self) -> int:
         pos = self._pos
-        if pos == len(self._words):
-            self._words = self._raw(BLOCK).tolist()
+        if pos == BLOCK:
+            self._refill()
             pos = 0
         self._pos = pos + 1
         return self._words[pos]
 
     def random(self) -> float:
         """A float uniform on [0, 1), as ``Generator.random()``."""
-        return (self._next_word() >> 11) * _DOUBLE_UNIT
+        pos = self._pos
+        if pos == BLOCK:
+            self._refill()
+            pos = 0
+        self._pos = pos + 1
+        return self._floats[pos]
 
     def _next_uint32(self) -> int:
         half = self._half

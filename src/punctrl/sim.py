@@ -97,7 +97,7 @@ def decode_state(cfg: SimConfig, s) -> tuple:
     return round(float(s[0]) * max(slots - 1, 1)), request, remaining
 
 
-@dataclass
+@dataclass(slots=True)
 class SimCounters:
     """Cumulative event counts since the last reset."""
 
@@ -186,8 +186,9 @@ class PuncturingSim:
         """Possibly pose a new request; suppressed while one is outstanding."""
         if self.request is not NONE:
             return
-        if self.rng.random() < self.cfg.p_request:
-            critical = self.rng.random() < self.cfg.p_critical
+        rng = self.rng
+        if rng.random() < self.cfg.p_request:
+            critical = rng.random() < self.cfg.p_critical
             self.request = CRITICAL if critical else NORMAL
             self.counters.arrived += 1
             if critical:

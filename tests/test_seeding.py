@@ -88,3 +88,28 @@ class TestBlockDraws:
         reader = BlockDraws(np.random.default_rng(3))
         assert reader.integers(9, 10) == 9
         assert reader.random() == np.random.default_rng(3).random()
+
+    @pytest.mark.parametrize("held_half", [False, True])
+    @pytest.mark.parametrize("pattern", ["random", "alternating"])
+    @pytest.mark.parametrize("k", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_block_boundary_equals_numpy(self, k, pattern, held_half):
+        # the draws after k words straddle the first refill (k = BLOCK - 1),
+        # start right at it (k = BLOCK) or follow it (k = BLOCK + 1)
+        reference = np.random.default_rng(2024)
+        wrapped = np.random.default_rng(2024)
+        if held_half:
+            assert reference.integers(0, 5) == wrapped.integers(0, 5)
+        reader = BlockDraws(wrapped)
+        draws = [("random",)] * k
+        if pattern == "random":
+            draws += [("random",)] * 6
+        else:
+            # integers takes a fresh word's low half or the held high half
+            draws += [("integers", 5, 8), ("random",)] * 6
+        for name, *args in draws:
+            expected = getattr(reference, name)(*args)
+            if name == "integers":
+                expected = int(expected)
+            got = getattr(reader, name)(*args)
+            assert type(got) is type(expected)
+            assert got == expected
