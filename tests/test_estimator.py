@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from punctrl.agents import AgentSpec
 from punctrl.config import SCHEMA, load_config
 from punctrl.estimator import PREDICT_BLOCK_ROWS, DqnScheduler, ManualScheduler, distinct_rows
 from punctrl.net import forward, split_gaussian
@@ -49,6 +51,29 @@ def reference_grouping(X):
     return first, inverse
 
 
+SIM_PARAMS = ("n_resources", "slots_per_subframe", "p_occupy", "occupy_len_min",
+              "occupy_len_max", "p_request", "p_critical", "rayleigh_sigma", "w_capacity",
+              "w_discard", "w_discard_critical")
+# each scheduler's constructor keywords after self, in signature order
+CONSTRUCTOR_PARAMS = {
+    DqnScheduler: ("agent", "epsilon_initial", "epsilon_decay_fraction", "w_lp", "w_me",
+                   "softmax_clip_low", "gamma", "me_sign", *SIM_PARAMS, "episodes",
+                   "steps_per_episode", "seed", "hidden_dims", "learning_rate", "target_tau",
+                   "checkpoint_every", "checkpoint_dir"),
+    ManualScheduler: (*SIM_PARAMS, "episodes", "steps_per_episode", "seed"),
+}
+
+
+def config_default(name):
+    """The default of estimator parameter ``name`` in the config dataclasses."""
+    if name == "agent":
+        return AgentSpec().kind
+    for holder in (AgentSpec(), SimConfig(), TrainConfig()):
+        if hasattr(holder, name):
+            return getattr(holder, name)
+    raise KeyError(name)
+
+
 def tiny_scheduler(**overrides):
     params = dict(agent="eg", episodes=2, steps_per_episode=40, seed=5, hidden_dims=(8, 8))
     params.update(overrides)
@@ -75,6 +100,29 @@ class TestParamsProtocol:
     def test_unknown_constructor_keyword_raises(self, cls):
         with pytest.raises(TypeError):
             cls(nonsense=1)
+
+    @pytest.mark.parametrize("cls", [DqnScheduler, ManualScheduler])
+    def test_constructor_contract_pinned(self, cls):
+        params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+        assert tuple(p.name for p in params) == CONSTRUCTOR_PARAMS[cls]
+        assert all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in params)
+        for p in params:
+            assert p.default == config_default(p.name), p.name
+        with pytest.raises(TypeError):
+            cls(2)
+
+    @pytest.mark.parametrize("cls", [DqnScheduler, ManualScheduler])
+    def test_clone_keeps_each_parameter_object(self, cls):
+        # sklearn.base.clone requires every parameter back as the same object;
+        # these two are built at run time, so no default or constant is them
+        p_occupy, seed = float("0.5"), int("12345678901234567890")
+        est = cls(p_occupy=p_occupy, seed=seed)
+        params = est.get_params(deep=False)
+        assert params["p_occupy"] is p_occupy and params["seed"] is seed
+        clone = type(est)(**params)
+        assert list(clone.get_params(deep=False)) == list(params)
+        for name, value in clone.get_params(deep=False).items():
+            assert value is params[name], name
 
     def test_parameters_are_the_config_keys(self):
         cfg = load_config(None)
