@@ -125,9 +125,10 @@ def load_config(path: str | None) -> CliConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}", path=path)
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section: [DEFAULT] is an unknown section like any other
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:

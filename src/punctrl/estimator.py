@@ -6,8 +6,7 @@ self, attributes learned by fit carrying a trailing underscore), so they
 clone and compose with that ecosystem without depending on it.
 """
 
-import inspect
-from dataclasses import fields
+from dataclasses import fields, make_dataclass
 
 import numpy as np
 
@@ -27,37 +26,6 @@ HOLDERS = {"agent": AgentSpec, "sim": SimConfig}
 def _param_name(holder: str, name: str) -> str:
     # the agent kind is the parameter ``agent``, as ``--agent`` on the command line
     return "agent" if (holder, name) == ("agent", "kind") else name
-
-
-def _derived_init(holders, learner: bool):
-    """An ``__init__`` taking the fields of ``holders`` and of TrainConfig as keywords.
-
-    Names and defaults are those of the dataclass fields. TrainConfig fields
-    marked as learner-only are left out unless ``learner`` is true.
-    """
-    keyword = inspect.Parameter.KEYWORD_ONLY
-    params = [
-        inspect.Parameter(_param_name(holder, f.name), keyword, default=f.default)
-        for holder in holders
-        for f in fields(HOLDERS[holder])
-    ] + [
-        inspect.Parameter(f.name, keyword, default=f.default)
-        for f in fields(TrainConfig)
-        if f.name not in HOLDERS and (learner or not f.metadata.get("learner"))
-    ]
-    signature = inspect.Signature(
-        [inspect.Parameter("self", inspect.Parameter.POSITIONAL_ONLY), *params]
-    )
-
-    def __init__(self, **params):
-        bound = signature.bind(self, **params)
-        bound.apply_defaults()
-        for name, value in bound.arguments.items():
-            if name != "self":
-                setattr(self, name, value)
-
-    __init__.__signature__ = signature
-    return __init__
 
 
 def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,18 +50,17 @@ def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ParamsProtocolMixin:
-    """get_params/set_params with scikit-learn semantics, no dependency."""
+    """get_params/set_params with scikit-learn semantics, no dependency.
 
-    @classmethod
-    def _param_names(cls):
-        signature = inspect.signature(cls.__init__)
-        return [name for name in signature.parameters if name != "self"]
+    The parameters are the fields of the dataclass built on this mixin;
+    ``_holders`` names the TrainConfig holders they flatten.
+    """
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
+        valid = {f.name for f in fields(self)}
         for name, value in params.items():
             if name not in valid:
                 raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}")
@@ -110,7 +77,29 @@ class ParamsProtocolMixin:
         return TrainConfig(**params)
 
 
-class DqnScheduler(ParamsProtocolMixin):
+def _scheduler_params(name: str, holders: tuple, learner: bool) -> type:
+    """A keyword-only dataclass of the fields of ``holders`` and of TrainConfig.
+
+    Names, types and defaults are those of the config dataclass fields.
+    TrainConfig fields marked as learner-only are left out unless
+    ``learner`` is true. The class is called ``name``, the scheduler built
+    on it, as its ``__init__`` errors show.
+    """
+    specs = [
+        (_param_name(holder, f.name), f.type, f.default)
+        for holder in holders
+        for f in fields(HOLDERS[holder])
+    ] + [
+        (f.name, f.type, f.default)
+        for f in fields(TrainConfig)
+        if f.name not in HOLDERS and (learner or not f.metadata.get("learner"))
+    ]
+    return make_dataclass(name, specs, bases=(ParamsProtocolMixin,),
+                          namespace={"__module__": __name__, "_holders": holders},
+                          kw_only=True, eq=False, repr=False)
+
+
+class DqnScheduler(_scheduler_params("DqnScheduler", ("agent", "sim"), learner=True)):
     """Puncturing policy learned by a deep Q-network.
 
     fit() generates its own experience by interacting with the seeded
@@ -119,9 +108,6 @@ class DqnScheduler(ParamsProtocolMixin):
     the [sim], [agent] and [train] config keys, ``seed`` and
     ``checkpoint_dir``; the agent kind is ``agent``.
     """
-
-    _holders = ("agent", "sim")
-    __init__ = _derived_init(_holders, learner=True)
 
     def fit(self, X=None, y=None) -> "DqnScheduler":
         """Train on self-generated experience; X and y are ignored."""
@@ -165,7 +151,7 @@ class DqnScheduler(ParamsProtocolMixin):
         return np.argmax(self.decision_function(X), axis=1)
 
 
-class ManualScheduler(ParamsProtocolMixin):
+class ManualScheduler(_scheduler_params("ManualScheduler", ("sim",), learner=False)):
     """Fixed scheduling heuristic exposed through the same interface.
 
     predict() works without fitting; fit() evaluates the heuristic on the
@@ -173,9 +159,6 @@ class ManualScheduler(ParamsProtocolMixin):
     parameters are the [sim] config keys, ``episodes``,
     ``steps_per_episode`` and ``seed``.
     """
-
-    _holders = ("sim",)
-    __init__ = _derived_init(_holders, learner=False)
 
     def fit(self, X=None, y=None) -> "ManualScheduler":
         result = manual_baseline(self._train_config())

@@ -122,12 +122,16 @@ def read_csv(path, row_type) -> list:
     An empty file, a foreign header, a record whose cell count differs from
     the header's, a line the csv module cannot split (such as a cell past
     its field size limit) or a last line without its newline (a file cut
-    short) raises ValueError naming the path and line.
+    short) raises ValueError naming the path and line; a file that is not
+    UTF-8 raises one naming the path.
     """
     names = field_names(row_type)
     parsers = [_PARSERS[f.type] for f in fields(row_type)]
-    with open(path, encoding="utf-8", newline="") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)

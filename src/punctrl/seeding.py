@@ -79,7 +79,9 @@ class BlockDraws:
 
     def _refill(self) -> None:
         raw = self._raw(BLOCK)
-        self._words = raw.tolist()
+        # few words are read as words, so each becomes an int only when read:
+        # indexing the array's memoryview gives a Python int
+        self._words = raw.data
         # exact: the top 53 bits convert to float64 without rounding, and
         # the power-of-two scale only shifts the exponent
         self._floats = ((raw >> 11) * _DOUBLE_UNIT).tolist()

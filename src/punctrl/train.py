@@ -93,12 +93,9 @@ def format_run_id(kind: str, seed: int) -> str:
 @dataclass
 class RunResult:
     run_id: str
-    agent_kind: str
-    seed: int
     episodes: list
     final_params: NetworkParams | None
     total_steps: int
-    checkpoints: list = field(default_factory=list)
 
 
 def network_dims(cfg: TrainConfig, spec: AgentSpec) -> tuple:
@@ -223,7 +220,6 @@ def train(cfg: TrainConfig) -> RunResult:
     tr = Transition(None, 0, 0.0, None)
     decay_steps = int(spec.epsilon_decay_fraction * cfg.episodes * cfg.steps_per_episode)
     rows = []
-    checkpoints = []
 
     for episode in range(1, cfg.episodes + 1):
         obs = env.reset()
@@ -250,14 +246,11 @@ def train(cfg: TrainConfig) -> RunResult:
         ):
             path = os.path.join(cfg.checkpoint_dir, f"{run_id}_ep{episode:03d}.ckpt")
             save_checkpoint(path, online, spec.kind, learner.adam.step_count)
-            checkpoints.append(path)
 
     if cfg.checkpoint_dir:
         path = os.path.join(cfg.checkpoint_dir, f"{run_id}_final.ckpt")
         save_checkpoint(path, online, spec.kind, learner.adam.step_count)
-        checkpoints.append(path)
-    return RunResult(run_id, spec.kind, cfg.seed, rows, online, learner.adam.step_count,
-                     checkpoints)
+    return RunResult(run_id, rows, online, learner.adam.step_count)
 
 
 MANUAL = "manual"
@@ -292,7 +285,7 @@ def manual_baseline(cfg: TrainConfig) -> RunResult:
             sum_reward += env.step(action)
         total_steps += cfg.steps_per_episode
         rows.append(_episode_row(MANUAL, cfg.seed, env, episode, sum_reward, 0.0))
-    return RunResult(format_run_id(MANUAL, cfg.seed), MANUAL, cfg.seed, rows, None, total_steps)
+    return RunResult(format_run_id(MANUAL, cfg.seed), rows, None, total_steps)
 
 
 def make_probe_state(sim_cfg: SimConfig) -> np.ndarray:

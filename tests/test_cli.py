@@ -156,6 +156,27 @@ class TestConfig:
             load_config(str(path))
         assert "simulation" in str(err.value)
 
+    # alone, [DEFAULT] was ignored; next to [train] configparser copied its keys
+    # into it, and next to [sim] they failed as [sim] keys with no line
+    @pytest.mark.parametrize("text, line", [
+        ("[DEFAULT]\nepisodes = 5\n", 1),
+        ("[DEFAULT]\nepisodes = 5\n\n[train]\nsteps_per_episode = 10\n", 1),
+        ("[sim]\np_occupy = 0.5\n\n[DEFAULT]\nepisodes = 5\n", 4),
+    ], ids=["alone", "with-train", "with-sim"])
+    def test_default_section_rejected_with_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert str(err.value) == f"{path}:{line}: unknown section [DEFAULT]"
+
+    def test_undecodable_file_named(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"[sim]\np_occupy = 0.5\xff\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert str(err.value).startswith(f"{path}: cannot read config: 'utf-8' codec")
+
     def test_semantic_error_anchored(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[sim]\np_occupy = 1.7\n")

@@ -105,6 +105,12 @@ class TestReadCsv:
         with pytest.raises(ValueError, match=r"episodes\.csv:1: expected header"):
             read_csv(path, EpisodeRow)
 
+    def test_undecodable_file_named(self, tmp_path):
+        path = self.written(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(ValueError, match=r"episodes\.csv: 'utf-8' codec can't decode"):
+            read_csv(path, EpisodeRow)
+
     def test_cut_inside_last_cell_rejected(self, tmp_path):
         # "10000" cut to "100" still has every cell and parses
         path = tmp_path / "probes.csv"

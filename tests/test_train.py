@@ -161,7 +161,8 @@ class TestManualBaseline:
     def test_agent_label(self):
         cfg = TrainConfig(episodes=1, steps_per_episode=50, seed=2)
         result = manual_baseline(cfg)
-        assert result.agent_kind == "manual"
+        assert result.run_id == "manual-s2"
+        assert [row.agent for row in result.episodes] == ["manual"]
         assert result.final_params is None
 
 
@@ -375,8 +376,9 @@ class TestCheckpoints:
     def real_checkpoint(self, tmp_path):
         cfg = small_cfg(kind="vb", episodes=1, steps=20)
         cfg.checkpoint_dir = str(tmp_path)
-        with open(train(cfg).checkpoints[0], "rb") as fh:
-            return fh.read()
+        train(cfg)
+        [path] = tmp_path.glob("*.ckpt")
+        return path.read_bytes()
 
     def test_truncated_file_rejected_with_path(self, tmp_path, real_checkpoint):
         n = len(real_checkpoint)
@@ -429,8 +431,8 @@ class TestCheckpoints:
         cfg = small_cfg(episodes=1, steps=30)
         cfg.checkpoint_dir = str(tmp_path)
         result = train(cfg)
-        assert len(result.checkpoints) == 1
-        loaded, kind, steps = load_checkpoint(result.checkpoints[0])
+        assert os.listdir(tmp_path) == ["eg-s11_final.ckpt"]
+        loaded, kind, steps = load_checkpoint(tmp_path / "eg-s11_final.ckpt")
         assert kind == "eg" and steps == 30
         assert params_equal(loaded, result.final_params)
 
@@ -438,10 +440,11 @@ class TestCheckpoints:
         cfg = small_cfg(episodes=4, steps=20)
         cfg.checkpoint_dir = str(tmp_path)
         cfg.checkpoint_every = 2
-        result = train(cfg)
-        assert len(result.checkpoints) == 2  # episode 2 + final
-        names = [p.split("/")[-1] for p in result.checkpoints]
-        assert names == ["eg-s11_ep002.ckpt", "eg-s11_final.ckpt"]
+        train(cfg)
+        names = sorted(os.listdir(tmp_path))
+        assert names == ["eg-s11_ep002.ckpt", "eg-s11_final.ckpt"]  # episode 2 + final
+        # each written as its episode ended: after 2 of 4 episodes of 20 steps, then after all
+        assert [load_checkpoint(tmp_path / name)[2] for name in names] == [40, 80]
 
 
 def _values():
