@@ -82,8 +82,9 @@ def _scheduler_params(name: str, holders: tuple, learner: bool) -> type:
 
     Names, types and defaults are those of the config dataclass fields.
     TrainConfig fields marked as learner-only are left out unless
-    ``learner`` is true. The class is called ``name``, the scheduler built
-    on it, as its ``__init__`` errors show.
+    ``learner`` is true. The class is named after the scheduler built on it,
+    because its ``__init__`` errors show that name; equality and repr stay
+    those of ``object``, so schedulers compare by identity as before.
     """
     specs = [
         (_param_name(holder, f.name), f.type, f.default)
