@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import (
-    DETERMINISTIC,
-    GAUSSIAN,
-    gaussian_log_density,
-    sample_gaussian_head,
-    split_gaussian,
-)
+from .net import DETERMINISTIC, GAUSSIAN, gaussian_log_density, read_head, reparameterize
 from .validation import check_finite, check_probability
 
 EG = "eg"
@@ -97,14 +91,13 @@ def select_action(
     """
     # here and in the losses, reductions are ndarray methods: the same ufunc
     # reduction as np.argmax, np.max and np.sum without their Python wrappers
-    if spec.kind == EG:
-        q = np.asarray(head_out, dtype=float)
+    values, log_sigma = read_head(spec.head_mode, np.asarray(head_out, dtype=float))
+    if log_sigma is None:
         if rng.random() < epsilon:
-            return int(rng.integers(0, q.shape[0])), None
-        return int(q.argmax()), None
-    mu, log_sigma = split_gaussian(np.asarray(head_out, dtype=float))
-    q, noise = sample_gaussian_head(mu, log_sigma, rng)
-    return int(q.argmax()), noise
+            return int(rng.integers(0, values.shape[0])), None
+        return int(values.argmax()), None
+    noise = rng.standard_normal(values.shape[0])
+    return int(reparameterize(values, log_sigma, noise).argmax()), noise
 
 
 def td_components(

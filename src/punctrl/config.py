@@ -123,7 +123,8 @@ def load_config(path: str | None) -> CliConfig:
         check_config(cfg)
         return cfg
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark and reads all else as utf-8
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}", path=path)

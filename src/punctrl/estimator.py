@@ -10,8 +10,8 @@ from dataclasses import fields, make_dataclass
 
 import numpy as np
 
-from .agents import EG, AgentSpec
-from .net import forward, split_gaussian
+from .agents import AgentSpec
+from .net import forward, read_head
 from .sim import SimConfig, decode_state
 from .train import TrainConfig, manual_action, manual_baseline, train
 from .validation import check_state_matrix
@@ -136,15 +136,14 @@ class DqnScheduler(_scheduler_params("DqnScheduler", ("agent", "sim"), learner=T
         full size would mend that, but a one-row call would cost a full one.
         """
         self._check_fitted()
-        sim = self._train_config().sim
-        X = check_state_matrix(X, sim.state_dim)
+        cfg = self._train_config()
+        X = check_state_matrix(X, cfg.sim.state_dim)
         first, inverse = distinct_rows(X)
-        deterministic = self.agent == EG
-        values = np.empty((first.shape[0], sim.n_actions))
+        values = np.empty((first.shape[0], cfg.sim.n_actions))
         for start in range(0, first.shape[0], PREDICT_BLOCK_ROWS):
             stop = start + PREDICT_BLOCK_ROWS
             out = forward(self.params_, X[first[start:stop]])
-            values[start:stop] = out if deterministic else split_gaussian(out)[0]
+            values[start:stop] = read_head(cfg.agent.head_mode, out)[0]
         return values[inverse]
 
     def predict(self, X) -> np.ndarray:

@@ -220,22 +220,26 @@ def split_gaussian(out: np.ndarray):
     return out[..., :half], out[..., half:]
 
 
+def read_head(mode: str, out: np.ndarray):
+    """A head's output, one row or a batch, as (values, log_sigma).
+
+    A deterministic head's values are its output and it has no log_sigma;
+    a Gaussian head's are its (mu, log_sigma) halves.
+    """
+    if mode == DETERMINISTIC:
+        return out, None
+    if mode == GAUSSIAN:
+        return split_gaussian(out)
+    raise ValueError(f"unknown head mode {mode!r}")
+
+
 def reparameterize(mu: np.ndarray, log_sigma: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """q = mu + exp(log_sigma) * noise; differentiable in mu and log_sigma."""
     return mu + np.exp(log_sigma) * noise
 
 
-def sample_gaussian_head(mu: np.ndarray, log_sigma: np.ndarray, rng: np.random.Generator):
-    """Sample per-action estimates; returns (q, noise) so gradients can replay."""
-    noise = rng.standard_normal(mu.shape[0])
-    return reparameterize(mu, log_sigma, noise), noise
-
-
 def gaussian_log_density(q, mu, log_sigma):
     """Log density of q under Normal(mu, exp(log_sigma)); elementwise."""
-    q = np.asarray(q, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    log_sigma = np.asarray(log_sigma, dtype=float)
     # standardize before squaring so huge log_sigma cannot overflow
     z = (q - mu) * np.exp(-log_sigma)
     return -log_sigma - 0.5 * LOG_2PI - z * z / 2.0

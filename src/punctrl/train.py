@@ -14,7 +14,6 @@ import numpy as np
 
 from .agents import (
     AGENT_KINDS,
-    EG,
     VB,
     AgentSpec,
     Transition,
@@ -35,8 +34,8 @@ from .net import (
     forward_cached,
     backward,
     head_output_dim,
+    read_head,
     reparameterize,
-    split_gaussian,
 )
 from .seeding import STREAM_ACTION, STREAM_ENV, STREAM_NET_INIT, check_seed, substream
 from .sim import CRITICAL, NONE, PuncturingSim, RequestKind, SimConfig, encode_state
@@ -115,14 +114,11 @@ def loss_and_output_grad(spec, head_out, noise, tr, target_q):
     from ``noise`` for vb/me. The Gaussian kinds add their regularizer, and
     the TD gradient reaches log_sigma[a] through that sample.
     """
-    if spec.kind == EG:
-        q = head_out
-    else:
-        mu, log_sigma = split_gaussian(head_out)
-        q = reparameterize(mu, log_sigma, noise)
+    mu, log_sigma = read_head(spec.head_mode, head_out)
+    q = mu if log_sigma is None else reparameterize(mu, log_sigma, noise)
     prediction, bootstrap_target = td_components(spec, q, target_q, tr)
     loss, grad_pred = loss_eg(prediction, bootstrap_target)
-    if spec.kind == EG:
+    if log_sigma is None:
         grad_out = np.zeros_like(head_out)
         grad_out[tr.a] = grad_pred
         return loss, grad_out
@@ -143,9 +139,7 @@ def loss_and_grads(spec, online, target, head_out, cache, noise, tr, grads) -> f
     Gaussian targets bootstrap from their means; either way the bootstrap
     is a constant in the loss.
     """
-    target_q = forward(target, tr.s_next)
-    if spec.kind != EG:
-        target_q = split_gaussian(target_q)[0]
+    target_q = read_head(spec.head_mode, forward(target, tr.s_next))[0]
     loss, grad_out = loss_and_output_grad(spec, head_out, noise, tr, target_q)
     backward(online, cache, grad_out, out=grads)
     return loss
@@ -310,12 +304,9 @@ def probe_reaction(params: NetworkParams, spec: AgentSpec, sim_cfg: SimConfig) -
     md = estimate(wait) / mean(estimate(punctures)); undefined (None) when
     the denominator magnitude falls below 1e-12.
     """
-    out = forward(params, make_probe_state(sim_cfg))
-    if spec.kind == EG:
-        q = out
-        logstd_wait = mean_logstd_punct = None
-    else:
-        q, log_sigma = split_gaussian(out)
+    q, log_sigma = read_head(spec.head_mode, forward(params, make_probe_state(sim_cfg)))
+    logstd_wait = mean_logstd_punct = None
+    if log_sigma is not None:
         logstd_wait = float(log_sigma[0])
         mean_logstd_punct = float(np.mean(log_sigma[1:]))
     denom = float(np.mean(q[1:]))

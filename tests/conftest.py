@@ -1,4 +1,7 @@
+import ctypes
+import glob
 import itertools
+import os
 import sys
 
 import numpy as np
@@ -25,6 +28,32 @@ def every_state():
         ])
 
     return build
+
+
+@pytest.fixture(scope="session")
+def host_numerics():
+    """The OpenBLAS core and numpy SIMD targets this host computes with, as one line.
+
+    The digest pins were recorded with one core and one set of targets;
+    another of either can round differently, so a failing pin names what
+    it ran with. Parts that cannot be read say unknown.
+    """
+    core = "unknown"
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(pattern)):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+            break
+    try:
+        from numpy._core import _multiarray_umath as umath
+
+        enabled = umath.__cpu_features__
+        simd = " ".join(t for t in umath.__cpu_dispatch__ if enabled.get(t)) or "baseline only"
+    except (ImportError, AttributeError):
+        simd = "unknown"
+    return f"host numerics: OpenBLAS core {core}, numpy SIMD targets {simd}"
 
 
 @pytest.fixture

@@ -177,6 +177,14 @@ class TestConfig:
             load_config(str(path))
         assert str(err.value).startswith(f"{path}: cannot read config: 'utf-8' codec")
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        text = b"[sim]\np_occupy = 0.5\n"
+        plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        cfg = load_config(str(marked))
+        assert cfg == load_config(str(plain)) and cfg.sim.p_occupy == 0.5
+
     def test_semantic_error_anchored(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[sim]\np_occupy = 1.7\n")
@@ -544,6 +552,17 @@ class TestCmdProbe:
         rows = read_csv(csv_path, ProbeRow)
         assert [(r.run_id, r.agent) for r in rows] == [("vb-s3_final", "vb"),
                                                        ("vb-s4_final", "vb")]
+
+    def test_every_checkpoint_probed_without_final_ones(self, tmp_path):
+        config = tmp_path / "three.ini"
+        config.write_text(TINY.replace("episodes = 2", "episodes = 3"))
+        out = str(tmp_path / "intermediate")
+        assert run("train", "--config", str(config), "--agent", "eg", "--seed", "0",
+                   "--checkpoint-every", "1", "--out", out) == 0
+        os.remove(os.path.join(out, "checkpoints", "eg-s0_final.ckpt"))
+        assert run("probe", "--checkpoints", out, "--mode", "reaction") == 0
+        rows = read_csv(os.path.join(out, "reaction", "probes.csv"), ProbeRow)
+        assert [r.run_id for r in rows] == ["eg-s0_ep001", "eg-s0_ep002"]
 
     def test_other_runs_checkpoints_are_not_found(self, tmp_path, tiny_config, capsys):
         out = str(tmp_path / "moved")

@@ -123,5 +123,5 @@ def test_every_output_is_pinned(outputs):
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_output_bytes_pinned(outputs, name):
-    assert outputs.get(name) == DIGESTS[name]
+def test_output_bytes_pinned(outputs, name, host_numerics):
+    assert outputs.get(name) == DIGESTS[name], host_numerics

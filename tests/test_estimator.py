@@ -223,11 +223,11 @@ class TestDqnScheduler:
         assert same_bytes(est.decision_function(X), undeduplicated_values(est, X))
 
     @pytest.mark.parametrize("agent", ["eg", "vb"])
-    def test_reference_states_pinned(self, agent, every_state):
+    def test_reference_states_pinned(self, agent, every_state, host_numerics):
         values = reference_scheduler(agent).decision_function(every_state(SimConfig()))
         assert values.shape == (1344, 3)
         digest = hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes())
-        assert digest.hexdigest() == REFERENCE_STATE_PINS[agent]
+        assert digest.hexdigest() == REFERENCE_STATE_PINS[agent], host_numerics
 
     def test_bad_feature_count_rejected(self):
         est = tiny_scheduler().fit()

@@ -148,11 +148,11 @@ def test_matches_reference_formulas(spec):
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.me_sign}")
-def test_outputs_pinned(spec):
+def test_outputs_pinned(spec, host_numerics):
     rng = np.random.default_rng(47)
     digest = hashlib.sha256()
     for _ in range(PIN_DRAWS):
         loss, grad = loss_and_output_grad(spec, *random_case(spec, rng))
         digest.update(np.float64(loss).tobytes())
         digest.update(np.asarray(grad, dtype="<f8").tobytes())
-    assert digest.hexdigest() == OUTPUT_PINS[f"{spec.kind}-{spec.me_sign}"]
+    assert digest.hexdigest() == OUTPUT_PINS[f"{spec.kind}-{spec.me_sign}"], host_numerics

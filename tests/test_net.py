@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from punctrl.net import (
+    DETERMINISTIC,
+    GAUSSIAN,
     PTANH_NEG_SLOPE,
     Adam,
     ForwardCache,
@@ -13,8 +15,8 @@ from punctrl.net import (
     forward,
     forward_cached,
     gaussian_log_density,
+    read_head,
     reparameterize,
-    sample_gaussian_head,
     split_gaussian,
 )
 
@@ -258,10 +260,20 @@ class TestBufferReuse:
 
 
 class TestGaussianHead:
+    @pytest.mark.parametrize("shape", [(6,), (4, 6)], ids=["row", "batch"])
+    def test_read_head_layouts(self, shape):
+        out = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        values, log_sigma = read_head(DETERMINISTIC, out)
+        assert values is out and log_sigma is None
+        mu, log_sigma = read_head(GAUSSIAN, out)
+        assert np.array_equal(mu, out[..., :3]) and np.array_equal(log_sigma, out[..., 3:])
+        with pytest.raises(ValueError, match="unknown head mode"):
+            read_head("laplace", out)
+
     def test_tiny_variance_recovers_mean(self):
         rng = np.random.default_rng(1)
         mu = np.array([3.0, -1.0, 0.5])
-        q, _ = sample_gaussian_head(mu, np.full(3, -30.0), rng)
+        q = reparameterize(mu, np.full(3, -30.0), rng.standard_normal(3))
         assert np.allclose(q, mu, atol=1e-9)
 
     def test_fixed_noise_is_affine(self):
@@ -272,7 +284,8 @@ class TestGaussianHead:
         rng = np.random.default_rng(2)
         log_sigma = np.full(1, 0.5)
         draws = np.array(
-            [sample_gaussian_head(np.zeros(1), log_sigma, rng)[0][0] for _ in range(100_000)]
+            [reparameterize(np.zeros(1), log_sigma, rng.standard_normal(1))[0]
+             for _ in range(100_000)]
         )
         assert draws.var() == pytest.approx(math.exp(1.0), rel=0.03)
 

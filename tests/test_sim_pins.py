@@ -62,13 +62,13 @@ def baseline_digest(sim_cfg):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_sim_bytes_pinned(name):
-    assert sim_digest(CONFIGS[name], 2024) == SIM_DIGESTS[name]
+def test_sim_bytes_pinned(name, host_numerics):
+    assert sim_digest(CONFIGS[name], 2024) == SIM_DIGESTS[name], host_numerics
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_manual_baseline_rows_pinned(name):
-    assert baseline_digest(CONFIGS[name]) == BASELINE_DIGESTS[name]
+def test_manual_baseline_rows_pinned(name, host_numerics):
+    assert baseline_digest(CONFIGS[name]) == BASELINE_DIGESTS[name], host_numerics
 
 
 @st.composite

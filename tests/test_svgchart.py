@@ -105,8 +105,8 @@ PIN_DIGESTS = {
 
 
 @pytest.mark.parametrize("case", sorted(PIN_CASES))
-def test_chart_bytes_pinned(tmp_path, case):
+def test_chart_bytes_pinned(tmp_path, case, host_numerics):
     series, title, baseline = PIN_CASES[case]
     path = tmp_path / f"{case}.svg"
     emit_linechart(series, path, title, baseline=baseline)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PIN_DIGESTS[case]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PIN_DIGESTS[case], host_numerics

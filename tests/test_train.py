@@ -18,6 +18,7 @@ from punctrl.train import (
     ADAPTATION_CAP,
     TrainConfig,
     TrainingDiverged,
+    _episode_row,
     build_network,
     load_checkpoint,
     make_probe_state,
@@ -119,6 +120,22 @@ class TestTrain:
         assert result.run_id == "me-s77"
         assert [row.episode for row in result.episodes] == [1, 2, 3]
         assert all(row.agent == "me" and row.seed == 77 for row in result.episodes)
+
+
+# a request still pending at truncation is left out of both ratios: of 10
+# arrivals (4 critical) 9 are resolved, and a pending critical request also
+# leaves 3 resolved critical ones
+@pytest.mark.parametrize("pending, critical_resolved", [
+    (RequestKind.NORMAL, 4), (RequestKind.CRITICAL, 3),
+], ids=["normal", "critical"])
+def test_episode_row_leaves_out_a_pending_request(pending, critical_resolved):
+    env = PuncturingSim(SimConfig(), substream(0, "env"))
+    c = env.counters
+    c.arrived, c.arrived_critical, c.discarded, c.discarded_critical = 10, 4, 3, 1
+    env.request = pending
+    row = _episode_row("eg", 0, env, 1, 0.0, 0.0)
+    assert row.urllc_missed_ratio == 3 / 9
+    assert row.critical_missed_ratio == 1 / critical_resolved
 
 
 class TestManualPolicy:
