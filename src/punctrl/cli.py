@@ -165,12 +165,14 @@ def cmd_baseline(args) -> int:
 
 
 def _find_checkpoints(root: str, cfg) -> list:
-    """The ``<run id>_*.ckpt`` files under ``root`` of the runs in manifest ``cfg``:
-    the final checkpoints if there are any, else all."""
+    """The ``<run id>_*.ckpt`` files under ``root`` of the runs in manifest ``cfg``, in
+    path order: each run's final checkpoint if it has one, else all of that run's."""
     run_ids = {format_run_id(cfg.agent.kind, cfg.seed + rep) for rep in range(cfg.reps)}
     found = sorted(glob.glob(os.path.join(root, "**", "*.ckpt"), recursive=True))
-    paths = [path for path in found if os.path.basename(path).rsplit("_", 1)[0] in run_ids]
-    return [path for path in paths if path.endswith("_final.ckpt")] or paths
+    runs = [os.path.basename(path).rsplit("_", 1)[0] for path in found]
+    final = {run for run, path in zip(runs, found) if path.endswith("_final.ckpt")}
+    return [path for run, path in zip(runs, found)
+            if run in run_ids and (run not in final or path.endswith("_final.ckpt"))]
 
 
 def cmd_probe(args) -> int:
@@ -194,7 +196,7 @@ def cmd_probe(args) -> int:
         print(f"no checkpoints of the runs in {manifest} found under {root}", file=sys.stderr)
         return 1
     spec = cfg.agent
-    expected = NetworkParams.zeros(*network_dims(cfg, spec)).shapes
+    expected = NetworkParams.zeros(*network_dims(cfg)).shapes
     rows = []
     for path in files:
         params, kind, _ = load_checkpoint(path)
@@ -208,17 +210,7 @@ def cmd_probe(args) -> int:
             return 1
         run_id = os.path.basename(path).removesuffix(".ckpt")
         if args.mode == "reaction":
-            outcome = probe_reaction(params, spec, cfg.sim)
-            rows.append(
-                ProbeRow(
-                    run_id,
-                    kind,
-                    0,
-                    md=outcome.md,
-                    logstd_wait=outcome.logstd_wait,
-                    mean_logstd_punct=outcome.mean_logstd_punct,
-                )
-            )
+            rows.append(probe_reaction(params, cfg, run_id))
         else:
             # _count_type rejects 0, so `or` only fills in flags left unset
             for rep in range(args.reps or 10):
@@ -226,8 +218,7 @@ def cmd_probe(args) -> int:
                 # so every rep replays rep 0 and gets its count
                 if rep == 0 or spec.head_mode != DETERMINISTIC:
                     rng = substream(args.seed or 0, f"{STREAM_PROBE}/{run_id}/{rep}")
-                    steps = probe_adaptation(params, spec, cfg, rng,
-                                             cap=args.cap or ADAPTATION_CAP)
+                    steps = probe_adaptation(params, cfg, rng, cap=args.cap or ADAPTATION_CAP)
                 rows.append(ProbeRow(run_id, kind, rep, steps_until_explore=steps))
     # the two modes default to different files, so running both keeps both
     default_dir = os.path.join(root, "reaction") if args.mode == "reaction" else root

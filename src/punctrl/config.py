@@ -50,8 +50,11 @@ class CliConfig(TrainConfig):
         if self.seed + self.reps - 1 > U64_MAX:
             raise ValueError(f"reps {self.reps} from seed {self.seed} run past the largest seed "
                              "2**64 - 1")
-        if not self.out_dir:
-            raise ValueError("out_dir must name a directory, got an empty string")
+        # the manifest's reader strips each value and ends it at a line break
+        out_dir = self.out_dir
+        if not out_dir or out_dir != out_dir.strip() or "\n" in out_dir or "\r" in out_dir:
+            raise ValueError(f"out_dir must name a directory with no whitespace at either end "
+                             f"and no line break, so its manifest reads it back; got {out_dir!r}")
         return self
 
 

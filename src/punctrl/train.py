@@ -24,7 +24,7 @@ from .agents import (
     select_action,
     td_components,
 )
-from .metrics import EpisodeRow, write_atomic
+from .metrics import EpisodeRow, ProbeRow, write_atomic
 from .net import (
     Adam,
     ForwardCache,
@@ -97,13 +97,14 @@ class RunResult:
     total_steps: int
 
 
-def network_dims(cfg: TrainConfig, spec: AgentSpec) -> tuple:
-    """Input width, hidden widths and head width of ``spec``'s network on ``cfg``."""
-    return cfg.sim.state_dim, cfg.hidden_dims, head_output_dim(spec.head_mode, cfg.sim.n_actions)
+def network_dims(cfg: TrainConfig) -> tuple:
+    """Input width, hidden widths and head width of ``cfg.agent``'s network on ``cfg``."""
+    head_width = head_output_dim(cfg.agent.head_mode, cfg.sim.n_actions)
+    return cfg.sim.state_dim, cfg.hidden_dims, head_width
 
 
 def build_network(cfg: TrainConfig, rng: np.random.Generator) -> NetworkParams:
-    return NetworkParams.init(*network_dims(cfg, cfg.agent), rng)
+    return NetworkParams.init(*network_dims(cfg), rng)
 
 
 def loss_and_output_grad(spec, head_out, noise, tr, target_q):
@@ -153,8 +154,8 @@ class Learner:
     replays; ``label`` names the run in a divergence error.
     """
 
-    def __init__(self, spec: AgentSpec, online: NetworkParams, cfg: TrainConfig, label: str):
-        self.spec = spec
+    def __init__(self, online: NetworkParams, cfg: TrainConfig, label: str):
+        self.spec = cfg.agent
         self.label = label
         self.pair = TargetPair(online, tau=cfg.target_tau)
         self.adam = Adam(online, cfg.learning_rate)
@@ -210,7 +211,7 @@ def train(cfg: TrainConfig) -> RunResult:
     env = PuncturingSim(cfg.sim, substream(cfg.seed, STREAM_ENV))
     action_rng = substream(cfg.seed, STREAM_ACTION)
     online = build_network(cfg, substream(cfg.seed, STREAM_NET_INIT))
-    learner = Learner(spec, online, cfg, run_id)
+    learner = Learner(online, cfg, run_id)
     tr = Transition(None, 0, 0.0, None)
     decay_steps = int(spec.epsilon_decay_fraction * cfg.episodes * cfg.steps_per_episode)
     rows = []
@@ -288,30 +289,22 @@ def make_probe_state(sim_cfg: SimConfig) -> np.ndarray:
     return encode_state(sim_cfg, 0, CRITICAL, [slots] * sim_cfg.n_resources)
 
 
-@dataclass
-class ProbeReaction:
-    """Head readout on the probe state."""
-
-    argmax_action: int
-    md: float | None
-    logstd_wait: float | None = None
-    mean_logstd_punct: float | None = None
-
-
-def probe_reaction(params: NetworkParams, spec: AgentSpec, sim_cfg: SimConfig) -> ProbeReaction:
-    """Preference magnitude of waiting vs puncturing on the probe state.
+def probe_reaction(params: NetworkParams, cfg: TrainConfig, run_id: str) -> ProbeRow:
+    """The reaction row of snapshot ``params`` of run ``run_id`` on the probe state.
 
     md = estimate(wait) / mean(estimate(punctures)); undefined (None) when
-    the denominator magnitude falls below 1e-12.
+    the denominator magnitude falls below 1e-12. A Gaussian head adds the
+    log-std of wait and the mean log-std of the punctures.
     """
-    q, log_sigma = read_head(spec.head_mode, forward(params, make_probe_state(sim_cfg)))
-    logstd_wait = mean_logstd_punct = None
-    if log_sigma is not None:
-        logstd_wait = float(log_sigma[0])
-        mean_logstd_punct = float(np.mean(log_sigma[1:]))
+    spec = cfg.agent
+    q, log_sigma = read_head(spec.head_mode, forward(params, make_probe_state(cfg.sim)))
     denom = float(np.mean(q[1:]))
-    md = float(q[0]) / denom if abs(denom) >= 1e-12 else None
-    return ProbeReaction(int(np.argmax(q)), md, logstd_wait, mean_logstd_punct)
+    row = ProbeRow(run_id, spec.kind, 0,
+                   md=float(q[0]) / denom if abs(denom) >= 1e-12 else None)
+    if log_sigma is not None:
+        row.logstd_wait = float(log_sigma[0])
+        row.mean_logstd_punct = float(np.mean(log_sigma[1:]))
+    return row
 
 
 def probe_transition(sim_cfg: SimConfig) -> Transition:
@@ -332,13 +325,8 @@ def probe_transition(sim_cfg: SimConfig) -> Transition:
     return Transition(s, 0, r, s_next)
 
 
-def probe_adaptation(
-    params: NetworkParams,
-    spec: AgentSpec,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-    cap: int,
-) -> int:
+def probe_adaptation(params: NetworkParams, cfg: TrainConfig, rng: np.random.Generator,
+                     cap: int) -> int:
     """Confront-train-repeat on the probe state until a puncture is chosen.
 
     Returns the confrontation count of the first puncturing decision, or
@@ -349,7 +337,7 @@ def probe_adaptation(
     ``punctrl probe`` computes it once per checkpoint and repeats it.
     """
     check_count("cap", cap, minimum=1)
-    learner = Learner(spec, params.copy(), cfg, "adaptation probe")
+    learner = Learner(params.copy(), cfg, "adaptation probe")
     tr = probe_transition(cfg.sim)
     for count in range(1, cap + 1):
         if learner.act(tr.s, rng) != 0:

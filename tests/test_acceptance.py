@@ -22,7 +22,14 @@ from punctrl.agents import (
     Transition,
 )
 from punctrl.cli import main as cli_main
-from punctrl.net import ForwardCache, NetworkParams, forward_cached, reparameterize
+from punctrl.net import (
+    ForwardCache,
+    NetworkParams,
+    forward,
+    forward_cached,
+    read_head,
+    reparameterize,
+)
 from punctrl.seeding import substream
 from punctrl.sim import PuncturingSim, RequestKind, SimConfig
 from punctrl.train import (
@@ -30,6 +37,7 @@ from punctrl.train import (
     TrainConfig,
     loss_and_grads,
     loss_and_output_grad,
+    make_probe_state,
     manual_baseline,
     probe_adaptation,
     probe_reaction,
@@ -81,18 +89,17 @@ def baseline():
 class TestCriterion1AdaptationOrdering:
     def test_steps_until_exploring(self, trained):
         runs, _ = trained
-        cfg = TrainConfig()
         means = {}
         capped = {}
         for kind in AGENTS:
-            spec = AgentSpec(kind=kind)
+            cfg = TrainConfig(agent=AgentSpec(kind=kind))
             steps = []
             for result in runs[kind]:
                 # the eg head makes no random choice at epsilon 0: rep 0's count
                 # holds for every rep, cross-checked on one other substream
                 reps = (0, ADAPT_REPS - 1) if kind == EG else range(ADAPT_REPS)
                 counts = [
-                    probe_adaptation(result.final_params, spec, cfg,
+                    probe_adaptation(result.final_params, cfg,
                                      substream(0, f"probe/{result.run_id}/{rep}"), cap=CAP)
                     for rep in reps
                 ]
@@ -124,8 +131,7 @@ class TestCriterion1AdaptationOrdering:
         params = NetworkParams.zeros(5, (4,), 6)
         params.biases[-1][:] = [0.0, 1.0, 0.0, -30.0, -30.0, -30.0]
         cfg = TrainConfig(agent=AgentSpec(kind=VB))
-        assert probe_adaptation(params, cfg.agent, cfg, np.random.default_rng(0),
-                                cap=ADAPTATION_CAP) == 1
+        assert probe_adaptation(params, cfg, np.random.default_rng(0), cap=ADAPTATION_CAP) == 1
 
 
 class TestCriterion2TrainingCurves:
@@ -164,10 +170,13 @@ class TestCriterion3ProbePreference:
         excess = {}
         for kind in AGENTS:
             spec = AgentSpec(kind=kind)
+            cfg = TrainConfig(agent=spec, sim=sim_cfg)
             values = []
             for result in runs[kind]:
-                outcome = probe_reaction(result.final_params, spec, sim_cfg)
-                argmax_ok = argmax_ok and outcome.argmax_action == 0
+                outcome = probe_reaction(result.final_params, cfg, result.run_id)
+                q = read_head(spec.head_mode, forward(result.final_params,
+                                                      make_probe_state(sim_cfg)))[0]
+                argmax_ok = argmax_ok and q.argmax() == 0
                 # preference excess over indifference, in percent
                 values.append((outcome.md - 1.0) * 100.0 if outcome.md is not None else np.nan)
             excess[kind] = float(np.mean(values))

@@ -65,6 +65,17 @@ out_dir = runs
 probability = st.floats(0.0, 1.0)
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# any character, with the ones configparser treats specially drawn more often
+path_chars = st.one_of(st.characters(), st.sampled_from(" \t\n\r\x0b\x0c\x85\u2028#;=:[]%"))
+
+
+def accepted_out_dir(text: str) -> bool:
+    """Whether CliConfig.validate takes ``text`` as out_dir; the strategy restates no rule."""
+    try:
+        CliConfig(out_dir=text).validate()
+    except ValueError:
+        return False
+    return True
 
 
 @st.composite
@@ -107,7 +118,7 @@ def valid_configs(draw):
         checkpoint_every=draw(st.integers(0, 100)),
         reps=reps,
         jobs=draw(st.integers(1, 64)),
-        out_dir=draw(st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)),
+        out_dir=draw(st.text(path_chars, min_size=1, max_size=20).filter(accepted_out_dir)),
     )
 
 
@@ -220,7 +231,7 @@ class TestConfig:
     def test_any_valid_config_round_trips(self, tmp_path, cfg):
         text = config_text(cfg)
         path = tmp_path / "manifest.ini"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         again = load_config(str(path))
         assert again == cfg
         assert config_text(again) == text
@@ -286,6 +297,15 @@ class TestCmdTrain:
         assert run("train", "--config", tiny_config, "--out", "") == 1
         assert "out_dir" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("out_dir", ["runs ", " runs", "ru\nns", "ru\rns"],
+                             ids=["trailing-space", "leading-space", "newline", "carriage-return"])
+    def test_out_the_manifest_cannot_read_back_is_rejected(self, tmp_path, tiny_config, capsys,
+                                                           monkeypatch, out_dir):
+        monkeypatch.chdir(tmp_path)
+        assert run("train", "--config", tiny_config, "--out", out_dir) == 1
+        assert capsys.readouterr().err.startswith("error: out_dir ")
+        assert os.listdir(tmp_path) == ["tiny.ini"]
 
     def test_seed_range_past_u64_writes_nothing(self, tmp_path, tiny_config, capsys):
         out = tmp_path / "x"
@@ -451,8 +471,19 @@ class TestCmdProbe:
         for row in rows:
             rng = substream(6, f"{STREAM_PROBE}/{kind}-s1_final/{row.repetition}")
             assert row.agent == kind
-            assert row.steps_until_explore == probe_adaptation(params, cfg.agent, cfg, rng,
-                                                               cap=30)
+            assert row.steps_until_explore == probe_adaptation(params, cfg, rng, cap=30)
+
+    @pytest.mark.parametrize("kind", ["eg", "vb"])
+    def test_reaction_rows_equal_direct_probes(self, tmp_path, trained_dir, kind):
+        from punctrl.train import load_checkpoint, probe_reaction
+
+        run_dir = trained_dir if kind == "eg" else str(tmp_path / "run_vb")
+        assert run("probe", "--checkpoints", run_dir, "--mode", "reaction") == 0
+        rows = read_csv(os.path.join(run_dir, "reaction", "probes.csv"), ProbeRow)
+        cfg = load_config(os.path.join(run_dir, "manifest.ini"))
+        paths = sorted(Path(run_dir, "checkpoints").glob("*.ckpt"))
+        assert [p.name for p in paths] == [f"{kind}-s1_final.ckpt"]
+        assert rows == [probe_reaction(load_checkpoint(p)[0], cfg, p.stem) for p in paths]
 
     @pytest.mark.parametrize("flag", ["--cap", "--reps"])
     @pytest.mark.parametrize("value", ["0", "-5"])
@@ -467,7 +498,7 @@ class TestCmdProbe:
 
         calls = []
 
-        def fake_probe(params, spec, cfg, rng, cap):
+        def fake_probe(params, cfg, rng, cap):
             calls.append((rng.bit_generator.state, cap))
             return 1
 
@@ -563,6 +594,17 @@ class TestCmdProbe:
         assert run("probe", "--checkpoints", out, "--mode", "reaction") == 0
         rows = read_csv(os.path.join(out, "reaction", "probes.csv"), ProbeRow)
         assert [r.run_id for r in rows] == ["eg-s0_ep001", "eg-s0_ep002"]
+
+    def test_run_without_final_keeps_its_intermediates(self, tmp_path):
+        config = tmp_path / "three.ini"
+        config.write_text(TINY.replace("episodes = 2", "episodes = 3"))
+        out = str(tmp_path / "lost_final")
+        assert run("train", "--config", str(config), "--agent", "eg", "--seed", "0",
+                   "--reps", "2", "--checkpoint-every", "1", "--out", out) == 0
+        os.remove(os.path.join(out, "checkpoints", "eg-s1_final.ckpt"))
+        assert run("probe", "--checkpoints", out, "--mode", "reaction") == 0
+        rows = read_csv(os.path.join(out, "reaction", "probes.csv"), ProbeRow)
+        assert [r.run_id for r in rows] == ["eg-s0_final", "eg-s1_ep001", "eg-s1_ep002"]
 
     def test_other_runs_checkpoints_are_not_found(self, tmp_path, tiny_config, capsys):
         out = str(tmp_path / "moved")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from punctrl.agents import AGENT_KINDS, AgentSpec
 from punctrl.metrics import EpisodeRow, ProbeRow, write_csv
-from punctrl.net import NetworkParams
+from punctrl.net import NetworkParams, forward, read_head
 from punctrl.seeding import substream
 from punctrl.sim import PuncturingSim, RequestKind, SimConfig
 from punctrl.train import (
@@ -192,7 +192,8 @@ class TestProbeReaction:
         sim_cfg = SimConfig()
         params = NetworkParams.zeros(5, (4,), 3)
         params.biases[-1][:] = 3.0
-        outcome = probe_reaction(params, AgentSpec(kind="eg"), sim_cfg)
+        outcome = probe_reaction(params, TrainConfig(agent=AgentSpec(kind="eg"), sim=sim_cfg),
+                                 "eg-s0_final")
         assert outcome.md == pytest.approx(1.0)
         assert outcome.logstd_wait is None and outcome.mean_logstd_punct is None
 
@@ -200,25 +201,32 @@ class TestProbeReaction:
         sim_cfg = SimConfig()
         params = NetworkParams.zeros(5, (4,), 3)
         params.biases[-1][:] = [4.0, 1.0, 3.0]
-        outcome = probe_reaction(params, AgentSpec(kind="eg"), sim_cfg)
+        cfg = TrainConfig(agent=AgentSpec(kind="eg"), sim=sim_cfg)
+        outcome = probe_reaction(params, cfg, "eg-s0_final")
         assert outcome.md == pytest.approx(2.0)
-        assert outcome.argmax_action == 0
+        q = read_head(cfg.agent.head_mode, forward(params, make_probe_state(sim_cfg)))[0]
+        assert q.argmax() == 0
 
     def test_guarded_denominator(self):
         sim_cfg = SimConfig()
         params = NetworkParams.zeros(5, (4,), 3)
         params.biases[-1][:] = [1.0, 1e-13, -1e-13]
-        outcome = probe_reaction(params, AgentSpec(kind="eg"), sim_cfg)
+        outcome = probe_reaction(params, TrainConfig(agent=AgentSpec(kind="eg"), sim=sim_cfg),
+                                 "eg-s0_final")
         assert outcome.md is None
 
     def test_gaussian_head_reports_logstds(self):
         sim_cfg = SimConfig()
         params = NetworkParams.zeros(5, (4,), 6)
         params.biases[-1][:] = [5.0, 2.0, 2.0, -1.0, -2.0, -4.0]
-        outcome = probe_reaction(params, AgentSpec(kind="vb"), sim_cfg)
+        outcome = probe_reaction(params, TrainConfig(agent=AgentSpec(kind="vb"), sim=sim_cfg),
+                                 "vb-s2_ep004")
         assert outcome.md == pytest.approx(2.5)
         assert outcome.logstd_wait == pytest.approx(-1.0)
         assert outcome.mean_logstd_punct == pytest.approx(-3.0)
+        # the row punctrl probe writes: one per snapshot, no adaptation count
+        assert (outcome.run_id, outcome.agent, outcome.repetition) == ("vb-s2_ep004", "vb", 0)
+        assert outcome.steps_until_explore is None
 
 
 class TestProbeAdaptation:
@@ -229,7 +237,7 @@ class TestProbeAdaptation:
         params.biases[-1][:] = [0.0, 1.0, 0.0, -30.0, -30.0, -30.0]
         cfg = TrainConfig(agent=AgentSpec(kind="vb"), sim=sim_cfg)
         rng = np.random.default_rng(0)
-        assert probe_adaptation(params, cfg.agent, cfg, rng, cap=ADAPTATION_CAP) == 1
+        assert probe_adaptation(params, cfg, rng, cap=ADAPTATION_CAP) == 1
 
     def test_stubborn_eg_hits_cap(self):
         sim_cfg = SimConfig()
@@ -237,14 +245,14 @@ class TestProbeAdaptation:
         params.biases[-1][:] = [50.0, 0.0, 0.0]
         cfg = TrainConfig(agent=AgentSpec(kind="eg"), sim=sim_cfg)
         rng = np.random.default_rng(1)
-        assert probe_adaptation(params, cfg.agent, cfg, rng, cap=25) == 25
+        assert probe_adaptation(params, cfg, rng, cap=25) == 25
 
     def test_cap_below_one_rejected(self):
         cfg = TrainConfig(agent=AgentSpec(kind="eg"))
         params = NetworkParams.zeros(5, (4,), 3)
         for cap in (0, -5):
             with pytest.raises(ValueError, match="cap"):
-                probe_adaptation(params, cfg.agent, cfg, np.random.default_rng(0), cap=cap)
+                probe_adaptation(params, cfg, np.random.default_rng(0), cap=cap)
 
     # zero weights with the wait bias ahead by `margin`: learning pulls the
     # wait estimate down until a puncture wins, after 32 steps at margin 0.3
@@ -256,7 +264,7 @@ class TestProbeAdaptation:
         cfg = TrainConfig(agent=AgentSpec(kind="eg"), learning_rate=1e-2)
         params = NetworkParams.zeros(5, (4,), 3)
         params.biases[-1][:] = [margin, 0.0, 0.0]
-        counts = [probe_adaptation(params, cfg.agent, cfg, np.random.default_rng(seed), cap=cap)
+        counts = [probe_adaptation(params, cfg, np.random.default_rng(seed), cap=cap)
                   for seed in seeds]
         assert counts == [expected, expected]
 
@@ -270,7 +278,7 @@ class TestProbeAdaptation:
         cfg = TrainConfig(agent=AgentSpec(kind=kind), learning_rate=1e-2)
         params = NetworkParams.zeros(5, (4,), 6)
         params.biases[-1][:] = [1.0, 0.0, 0.0, -3.0, -3.0, -3.0]
-        counts = [probe_adaptation(params, cfg.agent, cfg, np.random.default_rng(seed), cap=500)
+        counts = [probe_adaptation(params, cfg, np.random.default_rng(seed), cap=500)
                   for seed in range(6)]
         assert counts == expected
 
@@ -297,13 +305,13 @@ class TestProbeAdaptation:
         params = NetworkParams.init(5, (8,), 6, rng)
         before = params.copy()
         cfg = TrainConfig(agent=AgentSpec(kind="me"), sim=sim_cfg)
-        probe_adaptation(params, cfg.agent, cfg, np.random.default_rng(5), cap=20)
+        probe_adaptation(params, cfg, np.random.default_rng(5), cap=20)
         assert params_equal(params, before)
 
 
 @pytest.mark.parametrize("caller, label", [
     (train_from, "eg-s11"),
-    (lambda cfg, params, _: probe_adaptation(params, cfg.agent, cfg, np.random.default_rng(0),
+    (lambda cfg, params, _: probe_adaptation(params, cfg, np.random.default_rng(0),
                                              cap=ADAPTATION_CAP),
      "adaptation probe"),
 ], ids=["train", "probe"])
