@@ -28,6 +28,7 @@ from .seeding import STREAM_PROBE, check_seed, substream
 from .svgchart import Series, emit_linechart
 from .train import (
     ADAPTATION_CAP,
+    ADAPTATION_REPS,
     MANUAL,
     format_run_id,
     load_checkpoint,
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="directory containing checkpoints and the run manifest")
     p_probe.add_argument("--mode", choices=("reaction", "adapt"), default="reaction")
     p_probe.add_argument("--reps", type=_count_type,
-                         help="adapt only: repetitions per checkpoint (default 10)")
+                         help=f"adapt only: repetitions per checkpoint (default {ADAPTATION_REPS})")
     p_probe.add_argument("--cap", type=_count_type,
                          help=f"adapt only: most confrontations per rep (default {ADAPTATION_CAP})")
     p_probe.add_argument("--seed", type=_seed_type, help="adapt only: sampling seed (default 0)")
@@ -213,7 +214,7 @@ def cmd_probe(args) -> int:
             rows.append(probe_reaction(params, cfg, run_id))
         else:
             # _count_type rejects 0, so `or` only fills in flags left unset
-            for rep in range(args.reps or 10):
+            for rep in range(args.reps or ADAPTATION_REPS):
                 # a deterministic head draws nothing that steers it at epsilon 0,
                 # so every rep replays rep 0 and gets its count
                 if rep == 0 or spec.head_mode != DETERMINISTIC:

@@ -55,6 +55,13 @@ class CliConfig(TrainConfig):
         if not out_dir or out_dir != out_dir.strip() or "\n" in out_dir or "\r" in out_dir:
             raise ValueError(f"out_dir must name a directory with no whitespace at either end "
                              f"and no line break, so its manifest reads it back; got {out_dir!r}")
+        # an undecodable byte on the command line arrives as a lone surrogate,
+        # which the UTF-8 manifest cannot hold
+        try:
+            out_dir.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"out_dir must be writable as UTF-8, as its manifest is; "
+                             f"got {out_dir!r}") from None
         return self
 
 

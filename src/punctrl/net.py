@@ -109,105 +109,80 @@ class NetworkParams:
         self.flat[:] = state["flat"]
 
 
-def _hidden_layer(w, b, a, t, out) -> None:
-    """t <- tanh(a W^T + b), out <- penalized tanh of the same pre-activation.
-
-    tanh keeps the sign of its argument, so max(t, slope * t) picks t on the
-    positive half-line and slope * t elsewhere.
-    """
-    np.matmul(a, w.T, out=t)
-    t += b
-    np.tanh(t, out=t)
-    np.multiply(t, PTANH_NEG_SLOPE, out=out)
-    np.maximum(t, out, out=out)
-
-
 class ForwardCache:
-    """Per-layer buffers of one single-input forward pass, refilled by every pass that reuses them.
+    """Per-layer buffers of a forward pass, refilled by every pass that reuses them.
 
-    Holds what backward() needs (the layer inputs and the hidden tanh
-    values) plus backward's own scratch, sized from ``params``.
+    Holds the layer inputs, the hidden tanh values and the output, each with
+    the leading batch shape ``lead``: ``()`` for one input, ``(n,)`` for a
+    batch of n. backward() reads a one-input cache and leaves it unchanged.
     """
 
-    __slots__ = ("acts", "tanhs", "out", "delta", "dact", "nonpos")
+    __slots__ = ("acts", "tanhs", "out")
 
-    def __init__(self, params: NetworkParams):
+    def __init__(self, params: NetworkParams, lead=()):
         widths = [w.shape[0] for w in params.weights[:-1]]
-        self.acts = [np.empty(k) for k in (params.input_dim, *widths)]
-        self.tanhs = [np.empty(k) for k in widths]
-        self.out = np.empty(params.output_dim)
-        self.delta = [np.empty(k) for k in widths]
-        self.dact = [np.empty(k) for k in widths]
-        self.nonpos = [np.empty(k, dtype=bool) for k in widths]
+        self.acts = [np.empty((*lead, k)) for k in (params.input_dim, *widths)]
+        self.tanhs = [np.empty((*lead, k)) for k in widths]
+        self.out = np.empty((*lead, params.output_dim))
 
 
 def forward_cached(params: NetworkParams, s: np.ndarray, cache: ForwardCache):
-    """Forward pass on one input ``(d,)``; batches go through forward().
+    """Forward pass on an input of the cache's shape ``cache.acts[0].shape``.
 
-    Refills ``cache`` and returns the output and the cache backward() needs.
-    The output is the cache's buffer, so the next pass through that cache
-    overwrites it.
+    Refills ``cache`` and returns the output and the cache. The output is the
+    cache's buffer, so the next pass through that cache overwrites it. Each
+    hidden layer keeps t = tanh(a W^T + b) and passes on its penalized tanh:
+    tanh keeps the sign of its argument, so max(t, slope * t) picks t on the
+    positive half-line and slope * t elsewhere.
     """
     s = np.asarray(s, dtype=float)
-    if s.shape != (params.input_dim,):
-        raise ValueError(f"forward_cached takes one input of shape ({params.input_dim},), "
+    if s.shape != cache.acts[0].shape:
+        raise ValueError(f"the cache is sized for input of shape {cache.acts[0].shape}, "
                          f"got {s.shape}")
     np.copyto(cache.acts[0], s)
-    for i in range(len(params.weights) - 1):
-        _hidden_layer(params.weights[i], params.biases[i], cache.acts[i], cache.tanhs[i],
-                      cache.acts[i + 1])
+    for w, b, a, t, act in zip(params.weights[:-1], params.biases[:-1], cache.acts,
+                               cache.tanhs, cache.acts[1:]):
+        np.matmul(a, w.T, out=t)
+        t += b
+        np.tanh(t, out=t)
+        np.multiply(t, PTANH_NEG_SLOPE, out=act)
+        np.maximum(t, act, out=act)
     np.matmul(cache.acts[-1], params.weights[-1].T, out=cache.out)
     cache.out += params.biases[-1]
     return cache.out, cache
 
 
 def forward(params: NetworkParams, s: np.ndarray) -> np.ndarray:
-    """Output for one input ``(d,)`` or a batch ``(n, d)``, in a fresh array.
-
-    Keeps no per-layer cache, so a batch needs two hidden-width buffers.
-    """
+    """Output for one input ``(d,)`` or a batch ``(n, d)``, in a fresh array."""
     a = np.asarray(s, dtype=float)
     if a.ndim not in (1, 2) or a.shape[-1] != params.input_dim:
         raise ValueError(f"input of shape {a.shape} does not match input_dim {params.input_dim}")
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        t = np.empty(a.shape[:-1] + (w.shape[0],))
-        act = np.empty_like(t)
-        _hidden_layer(w, b, a, t, act)
-        a = act
-    out = a @ params.weights[-1].T
-    out += params.biases[-1]
-    return out
+    return forward_cached(params, a, ForwardCache(params, a.shape[:-1]))[0]
 
 
 def backward(params: NetworkParams, cache: ForwardCache, grad_out: np.ndarray,
              out: NetworkParams) -> NetworkParams:
     """Exact gradients of (grad_out . output) w.r.t. every parameter.
 
-    Takes the cache of a forward_cached pass, overwrites ``out`` with the
-    gradients and returns it.
+    Takes the cache of a one-input forward_cached pass, overwrites ``out``
+    with the gradients and returns it. A layer's bias gradient is its delta,
+    so each hidden delta is computed in place in ``out.biases``.
     """
-    n_layers = len(params.weights)
     g = np.asarray(grad_out, dtype=float)
     # einsum fills an outer product faster than a broadcast multiply, with the
     # same single product per element
     np.einsum("i,j->ij", g, cache.acts[-1], out=out.weights[-1])
     out.biases[-1][:] = g
-    if n_layers > 1:
-        np.matmul(params.weights[-1].T, g, out=cache.delta[-1])
-    for i in range(n_layers - 2, -1, -1):
-        g = cache.delta[i]
+    for i in range(len(params.weights) - 2, -1, -1):
+        g = np.matmul(params.weights[i + 1].T, g, out=out.biases[i])
         # the activation's slope from its tanh value t: (1 - t^2) times the
         # slope of the half-line the pre-activation was on
-        t, dact, nonpos = cache.tanhs[i], cache.dact[i], cache.nonpos[i]
-        np.multiply(t, t, out=dact)
-        np.subtract(1.0, dact, out=dact)
-        np.less_equal(t, 0.0, out=nonpos)
-        np.multiply(dact, PTANH_NEG_SLOPE, out=dact, where=nonpos)
-        g *= dact
+        t = cache.tanhs[i]
+        slope = np.multiply(t, t)
+        np.subtract(1.0, slope, out=slope)
+        np.multiply(slope, PTANH_NEG_SLOPE, out=slope, where=t <= 0.0)
+        g *= slope
         np.einsum("i,j->ij", g, cache.acts[i], out=out.weights[i])
-        out.biases[i][:] = g
-        if i > 0:
-            np.matmul(params.weights[i].T, g, out=cache.delta[i - 1])
     return out
 
 

@@ -42,6 +42,7 @@ from .sim import CRITICAL, NONE, PuncturingSim, RequestKind, SimConfig, encode_s
 from .validation import check_count, check_positive
 
 ADAPTATION_CAP = 10000
+ADAPTATION_REPS = 10
 
 
 class TrainingDiverged(RuntimeError):
@@ -330,7 +331,9 @@ def probe_adaptation(params: NetworkParams, cfg: TrainConfig, rng: np.random.Gen
     """Confront-train-repeat on the probe state until a puncture is chosen.
 
     Returns the confrontation count of the first puncturing decision, or
-    ``cap`` if the agent never explores; ``cap`` below 1 raises ValueError.
+    ``cap`` if the agent never explores: a puncture at confrontation ``cap``
+    would return ``cap`` too, so that confrontation is never run. ``cap``
+    below 1 raises ValueError.
     The networks start from a copy of the snapshot with a fresh optimizer
     and target, so repetitions are independent. A deterministic head makes
     no random choice at epsilon 0, so its count does not depend on ``rng``:
@@ -339,7 +342,7 @@ def probe_adaptation(params: NetworkParams, cfg: TrainConfig, rng: np.random.Gen
     check_count("cap", cap, minimum=1)
     learner = Learner(params.copy(), cfg, "adaptation probe")
     tr = probe_transition(cfg.sim)
-    for count in range(1, cap + 1):
+    for count in range(1, cap):
         if learner.act(tr.s, rng) != 0:
             return count
         learner.learn(tr)

@@ -307,6 +307,15 @@ class TestCmdTrain:
         assert capsys.readouterr().err.startswith("error: out_dir ")
         assert os.listdir(tmp_path) == ["tiny.ini"]
 
+    def test_out_not_writable_as_utf8_is_rejected(self, tmp_path, tiny_config, capsys,
+                                                 monkeypatch):
+        # Python reads the byte 0xff of `--out $'r\xff'` as the lone surrogate U+DCFF
+        monkeypatch.chdir(tmp_path)
+        assert run("train", "--config", tiny_config, "--out", "r\udcff") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out_dir ") and "UTF-8" in err
+        assert os.listdir(tmp_path) == ["tiny.ini"]
+
     def test_seed_range_past_u64_writes_nothing(self, tmp_path, tiny_config, capsys):
         out = tmp_path / "x"
         assert run("train", "--config", tiny_config, "--seed", str(2**64 - 1), "--reps", "2",

@@ -71,12 +71,37 @@ class TestActivationMatchesEngine:
         cache = ForwardCache(params)
         for _ in range(10):
             forward_cached(params, rng.standard_normal(5) * 3.0, cache)
-            backward(params, cache, rng.standard_normal(4), params.zeros_like())
+            grads = backward(params, cache, rng.standard_normal(4), params.zeros_like())
             for i, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
                 t = np.tanh(cache.acts[i] @ w.T + b)
                 slope = np.where(t <= 0.0, PTANH_NEG_SLOPE, 1.0)
                 assert np.array_equal(cache.acts[i + 1], np.maximum(t, PTANH_NEG_SLOPE * t))
-                assert np.array_equal(cache.dact[i], (1.0 - t * t) * slope)
+                # a bias gradient is the upstream gradient times the activation's slope
+                upstream = params.weights[i + 1].T @ grads.biases[i + 1]
+                assert np.array_equal(grads.biases[i], upstream * ((1.0 - t * t) * slope))
+
+    @pytest.mark.parametrize("hidden", [(16,), (9, 7, 5)])
+    def test_tanh_of_zero_takes_the_negative_slope(self, hidden):
+        # zero hidden weights and biases make every tanh exactly 0, where the
+        # pre-activation is on the non-positive half-line
+        rng = np.random.default_rng(32)
+        params = NetworkParams.zeros(5, hidden, 4)
+        params.weights[-1][:] = rng.standard_normal(params.weights[-1].shape)
+        grad_out = rng.standard_normal(4)
+        _, cache = forward_cached(params, rng.standard_normal(5), ForwardCache(params))
+        grads = backward(params, cache, grad_out, params.zeros_like())
+        assert not cache.tanhs[-1].any()
+        assert np.array_equal(grads.biases[-2], params.weights[-1].T @ grad_out * PTANH_NEG_SLOPE)
+        assert grads.biases[-2].all()
+
+    def test_backward_leaves_the_cache_unchanged(self):
+        rng = np.random.default_rng(33)
+        params = NetworkParams.init(5, (9, 7), 4, rng)
+        _, cache = forward_cached(params, rng.standard_normal(5), ForwardCache(params))
+        before = [a.copy() for a in (*cache.acts, *cache.tanhs, cache.out)]
+        backward(params, cache, rng.standard_normal(4), params.zeros_like())
+        after = (*cache.acts, *cache.tanhs, cache.out)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after, strict=True))
 
 
 class TestForward:
@@ -120,7 +145,7 @@ class TestForward:
         params = NetworkParams.zeros(5, (4,), 3)
         cache = ForwardCache(params)
         for batch in (np.zeros((1, 5)), np.zeros((2, 5))):
-            with pytest.raises(ValueError, match="one input"):
+            with pytest.raises(ValueError, match=r"sized for input of shape \(5,\)"):
                 forward_cached(params, batch, cache)
 
 

@@ -16,6 +16,7 @@ from punctrl.seeding import substream
 from punctrl.sim import PuncturingSim, RequestKind, SimConfig
 from punctrl.train import (
     ADAPTATION_CAP,
+    Learner,
     TrainConfig,
     TrainingDiverged,
     _episode_row,
@@ -246,6 +247,17 @@ class TestProbeAdaptation:
         cfg = TrainConfig(agent=AgentSpec(kind="eg"), sim=sim_cfg)
         rng = np.random.default_rng(1)
         assert probe_adaptation(params, cfg, rng, cap=25) == 25
+
+    @pytest.mark.parametrize("cap", [1, 2, 25])
+    def test_never_exploring_learns_cap_minus_one_times(self, cap, monkeypatch):
+        # a puncture at confrontation cap would return cap too, so it is never confronted
+        learned = []
+        monkeypatch.setattr(Learner, "learn", lambda self, tr: learned.append(tr))
+        params = NetworkParams.zeros(5, (4,), 3)
+        params.biases[-1][:] = [50.0, 0.0, 0.0]
+        cfg = TrainConfig(agent=AgentSpec(kind="eg"))
+        assert probe_adaptation(params, cfg, np.random.default_rng(1), cap=cap) == cap
+        assert len(learned) == cap - 1
 
     def test_cap_below_one_rejected(self):
         cfg = TrainConfig(agent=AgentSpec(kind="eg"))

@@ -58,9 +58,14 @@ MUTANTS = (
     (AGENTS, "grad_ls.append(w * (-1.0 + ", "grad_ls.append(w * (1.0 + ", KILLED),
     (AGENTS, "k = float(sum(unclamped))", "k = float(len(unclamped))", KILLED),
     (AGENTS, "return max(0.0, spec.epsilon_initial", "return (spec.epsilon_initial", KILLED),
-    # a tanh of exactly 0 comes only from the tests' all-zero hidden layers, where the
-    # other slope scales every gradient of a layer alike and Adam's step is scale-free
-    (NET, "np.less_equal(t, 0.0, out=nonpos)", "np.less(t, 0.0, out=nonpos)", EQUIVALENT),
+    # the network engine: one forward pass and a backward that writes only its gradients
+    (NET, "where=t <= 0.0)", "where=t < 0.0)", KILLED),
+    (NET, "slope = np.multiply(t, t)", "slope = np.multiply(t, t, out=t)", KILLED),
+    (NET, "g, out=out.biases[i])", "g, out=out.biases[i].copy())", KILLED),
+    (NET, "np.maximum(t, act, out=act)", "np.minimum(t, act, out=act)", KILLED),
+    (NET, "if s.shape != cache.acts[0].shape:", "if s.shape[-1:] != cache.acts[0].shape[-1:]:",
+     KILLED),
+    (NET, "ForwardCache(params, a.shape[:-1])", "ForwardCache(params, a.shape[:1])", KILLED),
     (NET, "buf += ADAM_EPSILON", "buf -= ADAM_EPSILON", KILLED),
     (NET, "if root_bc2 != 1.0:", "if root_bc2 > 1.0:", KILLED),
     (NET, "self.target.flat *= 1.0 - self.tau", "self.target.flat *= 1.0", KILLED),
@@ -75,6 +80,7 @@ MUTANTS = (
     (TRAIN, "and episode < cfg.episodes", "and episode <= cfg.episodes", KILLED),
     (TRAIN, "mean_gain = 2.0 * sim_cfg.rayleigh_sigma", "mean_gain = sim_cfg.rayleigh_sigma",
      KILLED),
+    (TRAIN, "for count in range(1, cap):", "for count in range(1, cap + 1):", KILLED),
     (TRAIN, "s_next = encode_state(sim_cfg, 1, NONE, [slots - 1]",
      "s_next = encode_state(sim_cfg, 1, NONE, [slots]", KILLED),
     # no float lands exactly on the 1e-12 guard of md
@@ -97,6 +103,7 @@ MUTANTS = (
      "(run not in final and path.endswith(\"_ep001.ckpt\") or path.endswith(\"_final.ckpt\"))",
      KILLED),
     (CLI, "if rep == 0 or spec.head_mode != DETERMINISTIC:", "if rep == 0:", KILLED),
+    (CLI, "range(args.reps or ADAPTATION_REPS)", "range(args.reps or 9)", KILLED),
     # config parsing, the manifest and its out_dir rule
     (CONFIG, "if head.lower() == key:", "if head == key:", KILLED),
     (CONFIG, "        return format(value, \".17g\")", "        return format(value, \".16g\")",
@@ -104,6 +111,8 @@ MUTANTS = (
     (CONFIG, "if not out_dir or out_dir != out_dir.strip() or", "if not out_dir or", KILLED),
     (CONFIG, "or \"\\n\" in out_dir or", "or", KILLED),
     (CONFIG, "or \"\\r\" in out_dir:", "or \"\\r\\n\" in out_dir:", KILLED),
+    (CONFIG, "out_dir.encode(\"utf-8\")", "out_dir.encode(\"utf-8\", \"surrogateescape\")",
+     KILLED),
     # CSV cells and the cut-short check
     (METRICS, "        return format(value, \".17g\")", "        return format(value, \".15g\")",
      KILLED),
