@@ -24,10 +24,6 @@ VB = "vb"
 ME = "me"
 AGENT_KINDS = (EG, VB, ME)
 
-SIGN_UNIFORM_PRIOR = "uniform_prior"
-SIGN_AS_WRITTEN = "as_written"
-ME_SIGNS = (SIGN_UNIFORM_PRIOR, SIGN_AS_WRITTEN)
-
 
 @dataclass
 class AgentSpec:
@@ -40,7 +36,6 @@ class AgentSpec:
     w_me: float = math.e
     softmax_clip_low: float = 1e-3
     gamma: float = 0.99
-    me_sign: str = SIGN_UNIFORM_PRIOR
 
     def validate(self) -> "AgentSpec":
         if self.kind not in AGENT_KINDS:
@@ -52,8 +47,6 @@ class AgentSpec:
         check_finite("w_me", self.w_me)
         if not 0.0 < self.softmax_clip_low < 1.0:
             raise ValueError(f"softmax_clip_low must lie in (0, 1), got {self.softmax_clip_low}")
-        if self.me_sign not in ME_SIGNS:
-            raise ValueError(f"me_sign must be one of {ME_SIGNS}, got {self.me_sign!r}")
         return self
 
     @property
@@ -151,13 +144,13 @@ def loss_me(spec: AgentSpec, q, sigma, noise):
     """Weighted sum of the log softmax values of the sampled q.
 
     Returns (loss, grad_mu, grad_log_sigma) of this penalty alone, the
-    gradients as lists. In the default ``uniform_prior`` mode the sum is
-    subtracted, making the penalty smallest at a uniform softmax;
-    ``as_written`` adds it instead. Each softmax value is clamped to
+    gradients as lists. The weight is ``-w_me``: a positive ``w_me`` makes
+    the penalty smallest at a uniform softmax, and a negative one adds the
+    sum as the paper writes it. Each softmax value is clamped to
     [softmax_clip_low, 1] before its log, without renormalizing, so no log
     sees zero; clamped components contribute no gradient.
     """
-    weight = (-1.0 if spec.me_sign == SIGN_UNIFORM_PRIOR else 1.0) * spec.w_me
+    weight = -spec.w_me
     low = spec.softmax_clip_low
     # softmax shifted by the maximum, so no exp overflows
     e = np.exp(q - q.max())

@@ -29,6 +29,7 @@ from .svgchart import Series, emit_linechart
 from .train import (
     ADAPTATION_CAP,
     ADAPTATION_REPS,
+    ADAPTATION_SEED,
     MANUAL,
     format_run_id,
     load_checkpoint,
@@ -97,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"adapt only: repetitions per checkpoint (default {ADAPTATION_REPS})")
     p_probe.add_argument("--cap", type=_count_type,
                          help=f"adapt only: most confrontations per rep (default {ADAPTATION_CAP})")
-    p_probe.add_argument("--seed", type=_seed_type, help="adapt only: sampling seed (default 0)")
+    p_probe.add_argument("--seed", type=_seed_type,
+                         help=f"adapt only: sampling seed (default {ADAPTATION_SEED})")
     p_probe.add_argument("--out", help="output CSV path (default: probes.csv in the run dir "
                                        "for adapt, reaction/probes.csv for reaction)")
     p_probe.set_defaults(func=cmd_probe)
@@ -184,31 +186,27 @@ def cmd_probe(args) -> int:
         return 2
     root = args.checkpoints
     if not os.path.isdir(root):
-        print(f"checkpoint directory not found: {root}", file=sys.stderr)
-        return 1
+        raise ValueError(f"checkpoint directory not found: {root}")
     manifest = os.path.join(root, "manifest.ini")
     if not os.path.isfile(manifest):
-        print(f"no manifest.ini in {root}: probe needs the manifest the checkpoints were "
-              "trained with", file=sys.stderr)
-        return 1
+        raise ValueError(f"no manifest.ini in {root}: probe needs the manifest the checkpoints "
+                         "were trained with")
     cfg = load_config(manifest)
     files = _find_checkpoints(root, cfg)
     if not files:
-        print(f"no checkpoints of the runs in {manifest} found under {root}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no checkpoints of the runs in {manifest} found under {root}")
     spec = cfg.agent
     expected = NetworkParams.zeros(*network_dims(cfg)).shapes
+    # 0 is a seed, so only a flag left unset takes the default
+    seed = ADAPTATION_SEED if args.seed is None else args.seed
     rows = []
     for path in files:
         params, kind, _ = load_checkpoint(path)
         if kind != spec.kind:
-            print(f"{path} holds a {kind} agent, but {manifest} gives {spec.kind}",
-                  file=sys.stderr)
-            return 1
+            raise ValueError(f"{path} holds a {kind} agent, but {manifest} gives {spec.kind}")
         if params.shapes != expected:
-            print(f"{path} holds weight shapes {params.shapes}, but {manifest} gives "
-                  f"{expected}", file=sys.stderr)
-            return 1
+            raise ValueError(f"{path} holds weight shapes {params.shapes}, but {manifest} gives "
+                             f"{expected}")
         run_id = os.path.basename(path).removesuffix(".ckpt")
         if args.mode == "reaction":
             rows.append(probe_reaction(params, cfg, run_id))
@@ -218,7 +216,7 @@ def cmd_probe(args) -> int:
                 # a deterministic head draws nothing that steers it at epsilon 0,
                 # so every rep replays rep 0 and gets its count
                 if rep == 0 or spec.head_mode != DETERMINISTIC:
-                    rng = substream(args.seed or 0, f"{STREAM_PROBE}/{run_id}/{rep}")
+                    rng = substream(seed, f"{STREAM_PROBE}/{run_id}/{rep}")
                     steps = probe_adaptation(params, cfg, rng, cap=args.cap or ADAPTATION_CAP)
                 rows.append(ProbeRow(run_id, kind, rep, steps_until_explore=steps))
     # the two modes default to different files, so running both keeps both
@@ -265,8 +263,7 @@ def _print_probe_tables(probe_summaries) -> None:
 def cmd_report(args) -> int:
     episode_rows = _collect_rows(args.indir, "episodes.csv", EpisodeRow)
     if not episode_rows:
-        print(f"no runs found under {args.indir}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no runs found under {args.indir}")
     os.makedirs(args.out, exist_ok=True)
     agent_rows = [r for r in episode_rows if r.agent != MANUAL]
     manual_rows = [r for r in episode_rows if r.agent == MANUAL]

@@ -31,8 +31,6 @@ class ConfigError(Exception):
         if path is not None:
             anchor = f"{path}:{line}: " if line is not None else f"{path}: "
         super().__init__(anchor + message)
-        self.path = path
-        self.line = line
 
 
 @dataclass

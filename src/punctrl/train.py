@@ -43,6 +43,7 @@ from .validation import check_count, check_positive
 
 ADAPTATION_CAP = 10000
 ADAPTATION_REPS = 10
+ADAPTATION_SEED = 0
 
 
 class TrainingDiverged(RuntimeError):

@@ -7,8 +7,6 @@ from punctrl.agents import (
     EG,
     ME,
     VB,
-    SIGN_AS_WRITTEN,
-    SIGN_UNIFORM_PRIOR,
     AgentSpec,
     Transition,
     epsilon_at,
@@ -177,7 +175,7 @@ class TestLossVb:
 
 def me_penalty(q, clip_low):
     """loss_me at weight +1 on the estimates q: the summed logs and their gradient w.r.t. q."""
-    spec = AgentSpec(kind=ME, w_me=1.0, softmax_clip_low=clip_low, me_sign=SIGN_AS_WRITTEN)
+    spec = AgentSpec(kind=ME, w_me=-1.0, softmax_clip_low=clip_low)
     q = np.asarray(q, dtype=float)
     loss, grad_q, _ = loss_me(spec, q, np.ones_like(q), np.zeros_like(q))
     return loss, np.array(grad_q)
@@ -256,8 +254,8 @@ class TestLossMe:
         mu = np.array([0.5, 0.0, -0.5])
         log_sigma = np.full(3, -40.0)
         noise = np.zeros(3)
-        up = AgentSpec(kind=ME, me_sign=SIGN_UNIFORM_PRIOR)
-        aw = AgentSpec(kind=ME, me_sign=SIGN_AS_WRITTEN)
+        up = AgentSpec(kind=ME)
+        aw = AgentSpec(kind=ME, w_me=-math.e)
         l_up, g_up, _ = loss_me(up, *me_args(mu, log_sigma, noise))
         l_aw, g_aw, _ = loss_me(aw, *me_args(mu, log_sigma, noise))
         assert l_up == pytest.approx(-l_aw, abs=1e-9)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from punctrl.agents import AGENT_KINDS, ME_SIGNS, AgentSpec
+from punctrl.agents import AGENT_KINDS, AgentSpec
 from punctrl.cli import build_parser, main
 from punctrl.config import CliConfig, ConfigError, config_text, load_config
 from punctrl.metrics import EpisodeRow, ProbeRow, read_csv
@@ -44,7 +44,6 @@ w_lp = 0.01
 w_me = 2.7182818284590451
 softmax_clip_low = 0.001
 gamma = 0.98999999999999999
-me_sign = uniform_prior
 
 [train]
 episodes = 30
@@ -103,7 +102,6 @@ def valid_configs(draw):
         w_me=draw(finite),
         softmax_clip_low=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         gamma=draw(probability),
-        me_sign=draw(st.sampled_from(ME_SIGNS)),
     )
     reps = draw(st.integers(1, 64))
     return CliConfig(
@@ -181,6 +179,14 @@ class TestConfig:
             load_config(str(path))
         assert str(err.value) == f"{path}:{line}: unknown section [DEFAULT]"
 
+    def test_me_sign_is_an_unknown_key(self, tmp_path):
+        # manifests written while the penalty's sign was a key of its own hold this line
+        path = tmp_path / "old.ini"
+        path.write_text("[agent]\nme_sign = uniform_prior\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert str(err.value) == f"{path}:2: unknown key 'me_sign' in section [agent]"
+
     def test_undecodable_file_named(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_bytes(b"[sim]\np_occupy = 0.5\xff\n")
@@ -208,7 +214,7 @@ class TestConfig:
         ("[train]\nepisodes = 2\nhidden_dims = ,\n", 3, "hidden_dims"),
         ("[sim]\noccupy_len_min = 6\noccupy_len_max = 5\n", 3, "occupy_len_max"),
         ("[run]\nseed = 1\n\n[agent]\nkind = xx\n", 5, "kind"),
-        ("[agent]\nme_sign = yy\n", 2, "me_sign"),
+        ("[agent]\nsoftmax_clip_low = 1.5\n", 2, "softmax_clip_low"),
         ("[train]\nepisodes = 2\n\n[run]\nreps = 0\n", 5, "reps"),
         ("[run]\nseed = 2\nout_dir =\n", 3, "out_dir"),
         ("[train]\nsteps_per_episode = 10\nEpisodes = -1\n", 3, "episodes"),
@@ -512,12 +518,17 @@ class TestCmdProbe:
             return 1
 
         monkeypatch.setattr(cli, "probe_adaptation", fake_probe)
-        assert run("probe", "--checkpoints", str(tmp_path / "run_vb"), "--mode", "adapt") == 0
-        # the adapt defaults: 10 reps on seed 0, each capped at 10 000 confrontations
-        assert calls == [
-            (substream(0, f"{STREAM_PROBE}/vb-s1_final/{rep}").bit_generator.state, 10000)
-            for rep in range(10)
-        ]
+        # the adapt defaults: 10 reps on seed ADAPTATION_SEED (0), each capped at
+        # 10 000 confrontations; an explicit --seed 0 is kept under any default
+        for default, flags, seed in ((0, (), 0), (3, (), 3), (3, ("--seed", "0"), 0)):
+            monkeypatch.setattr(cli, "ADAPTATION_SEED", default)
+            calls.clear()
+            assert run("probe", "--checkpoints", str(tmp_path / "run_vb"), "--mode", "adapt",
+                       *flags) == 0
+            assert calls == [
+                (substream(seed, f"{STREAM_PROBE}/vb-s1_final/{rep}").bit_generator.state, 10000)
+                for rep in range(10)
+            ]
 
     @pytest.mark.parametrize("flag,value", [("--reps", "5"), ("--cap", "3"), ("--seed", "9")])
     def test_reaction_rejects_adapt_flags(self, trained_dir, capsys, flag, value):
@@ -534,7 +545,7 @@ class TestCmdProbe:
         for mode in ("reaction", "adapt"):
             assert run("probe", "--checkpoints", trained_dir, "--mode", mode) == 1
             err = capsys.readouterr().err
-            assert str(manifest) in err
+            assert err.startswith("error: ") and str(manifest) in err
             assert os.path.join(trained_dir, "checkpoints", "eg-s1_final.ckpt") in err
         assert not os.path.exists(os.path.join(trained_dir, "reaction"))
         assert not os.path.exists(os.path.join(trained_dir, "probes.csv"))
@@ -550,14 +561,15 @@ class TestCmdProbe:
         for mode in ("reaction", "adapt"):
             assert run("probe", "--checkpoints", vb_dir, "--mode", mode) == 1
             err = capsys.readouterr().err
-            assert ckpt in err and os.path.join(vb_dir, "manifest.ini") in err
+            assert err.startswith(f"error: {ckpt} holds a me agent")
+            assert os.path.join(vb_dir, "manifest.ini") in err
         assert not os.path.exists(os.path.join(vb_dir, "reaction"))
         assert not os.path.exists(os.path.join(vb_dir, "probes.csv"))
 
     def test_missing_manifest_fails(self, trained_dir, capsys):
         os.remove(os.path.join(trained_dir, "manifest.ini"))
         assert run("probe", "--checkpoints", trained_dir, "--mode", "reaction") == 1
-        assert "manifest.ini" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: no manifest.ini in {trained_dir}")
         assert not os.path.exists(os.path.join(trained_dir, "probes.csv"))
         assert not os.path.exists(os.path.join(trained_dir, "reaction"))
 
@@ -622,14 +634,19 @@ class TestCmdProbe:
         manifest = Path(out, "manifest.ini")
         manifest.write_text(manifest.read_text().replace("seed = 0", "seed = 1"))
         assert run("probe", "--checkpoints", out, "--mode", "reaction") == 1
-        assert "no checkpoints of the runs in" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: no checkpoints of the runs in")
         assert not os.path.exists(os.path.join(out, "reaction"))
 
-    def test_missing_checkpoints_fail(self, tmp_path):
+    def test_missing_checkpoints_fail(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
         assert run("probe", "--checkpoints", str(empty)) == 1
-        assert run("probe", "--checkpoints", str(tmp_path / "nope")) == 1
+        assert capsys.readouterr().err.startswith(f"error: no manifest.ini in {empty}")
+        assert list(empty.iterdir()) == []
+        nope = tmp_path / "nope"
+        assert run("probe", "--checkpoints", str(nope)) == 1
+        assert capsys.readouterr().err == f"error: checkpoint directory not found: {nope}\n"
+        assert not nope.exists()
 
 
 class TestCmdReport:
@@ -637,7 +654,8 @@ class TestCmdReport:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert run("report", "--in", str(empty), "--out", str(tmp_path / "rep")) == 1
-        assert "no runs found" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: no runs found under {empty}\n"
+        assert not (tmp_path / "rep").exists()
 
     def test_truncated_episodes_csv_is_runtime_error(self, tmp_path, tiny_config, capsys):
         runs = tmp_path / "runs"

@@ -56,17 +56,17 @@ DIGESTS = {
     "runs/eg/checkpoints/eg-s6_ep001.ckpt": "38f1f2e82af523e3250885f420f66c924f60ccf728207a378ff05ed893dc533a",
     "runs/eg/checkpoints/eg-s6_final.ckpt": "dfc4e8bfbeb80f465cef9a6b28ccafe1a6e78b6098d8c89eb8f80b5027beb04c",
     "runs/eg/episodes.csv": "c684993db5f297c355ac5a054e18e0752117959121b858f1f2bcbc7f97611cfd",
-    "runs/eg/manifest.ini": "1545b6fc5809ccda707c2491f46be92ecd78f1c7928394ac7349c8adcec293d2",
+    "runs/eg/manifest.ini": "2b4dd71a76bade2c279fe01ff67614151f22ae724e0bfc27b0c9c83725714c46",
     "runs/eg/probes.csv": "189ef25ad32d5a679d9beb9888bc55ad14ce36eb4bec0654bec6969a85d6a183",
     "runs/eg/reaction/probes.csv": "ddd019cb404dd5c5eaeeb8ecffb86050d8eef685114c4a58ade8a3d71ded2041",
     "runs/manual/episodes.csv": "eb69911f6a53fb8bd185483fa98f362b740345203f7ead443bdab57412aa747b",
-    "runs/manual/manifest.ini": "403a14d05b2c985fc4513788188017805c5793b7ed9bac9dfb2972f8d3c8b4d7",
+    "runs/manual/manifest.ini": "2af40a8110371b1ce3d298eac5cf6e396cf6c4eb8bd6e4926b06f870fcba7124",
     "runs/me/checkpoints/me-s5_ep001.ckpt": "39ef133ca4971eb1f8e04c245dbf3d4406600d10cc71745a855b596b325437a5",
     "runs/me/checkpoints/me-s5_final.ckpt": "9b838ce8b7c85898c869fcf75e666a0d6d9d96f971636bdd2fec02b2f6a04e80",
     "runs/me/checkpoints/me-s6_ep001.ckpt": "8f21869001113d20aac40a0aea35d0cac0f73e92f1590a7b9ea35f2843d64321",
     "runs/me/checkpoints/me-s6_final.ckpt": "1f1af75c7426841ee8235c5d7eb35274823a4756378983b9bb38bdb227ea9f44",
     "runs/me/episodes.csv": "c9945cb1951d2423ea1e5a8071465a34b53ca77877fcf440f4be1e016c868edc",
-    "runs/me/manifest.ini": "e0e758c669b212561518fb088ac03856e14bf76ba565915045781602823b0925",
+    "runs/me/manifest.ini": "6f5652a276253ce93ac1f92cfeb3f6eaf976ad401286d93a12df975dc8ce5640",
     "runs/me/probes.csv": "07725ff23b683f40dc1586750cdf9b0d140265246fb1a8a2e86e8d6f8267dfd9",
     "runs/me/reaction/probes.csv": "6503deb16f0d621418d4fd5e8eacd8726ddd521a99358d38bd983d5183f768b8",
     "runs/vb/checkpoints/vb-s5_ep001.ckpt": "e7252b91bd995a39e560bbcdbb082e5c557b82aff976a68c47b3e310a0d7dd36",
@@ -74,7 +74,7 @@ DIGESTS = {
     "runs/vb/checkpoints/vb-s6_ep001.ckpt": "25892275b682f44894d6232ec010759a0e9c74ee1384555d5b05cc3616ba8efd",
     "runs/vb/checkpoints/vb-s6_final.ckpt": "1e0de6ca999fb8777b3d0eb1c04ffcc575df9034f6aea523a65086c04188ac61",
     "runs/vb/episodes.csv": "26df7566f147d062eb45075218a0ac0002eb4214dd1d7c5f363194c9ccf61a4f",
-    "runs/vb/manifest.ini": "6b662cc23b4d5f38a354916f66bed1e8508c1681c6da5595c7fbc9c2311b796c",
+    "runs/vb/manifest.ini": "56e8793558d35ab38f3c80e9ffc4efd8f1359df632e72019667461ddae45baa8",
     "runs/vb/probes.csv": "9e4e53ee403b45f075e5f313726701f346f3970e35a6898204c6a044df3418fe",
     "runs/vb/reaction/probes.csv": "dc7fe1526cc4d62ea7020d32e94af17f857c7e8d380dd9745b1f219fc4118353",
 }

@@ -57,7 +57,7 @@ SIM_PARAMS = ("n_resources", "slots_per_subframe", "p_occupy", "occupy_len_min",
 # each scheduler's constructor keywords after self, in signature order
 CONSTRUCTOR_PARAMS = {
     DqnScheduler: ("agent", "epsilon_initial", "epsilon_decay_fraction", "w_lp", "w_me",
-                   "softmax_clip_low", "gamma", "me_sign", *SIM_PARAMS, "episodes",
+                   "softmax_clip_low", "gamma", *SIM_PARAMS, "episodes",
                    "steps_per_episode", "seed", "hidden_dims", "learning_rate", "target_tau",
                    "checkpoint_every", "checkpoint_dir"),
     ManualScheduler: (*SIM_PARAMS, "episodes", "steps_per_episode", "seed"),

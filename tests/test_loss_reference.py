@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from punctrl.agents import EG, ME, SIGN_AS_WRITTEN, SIGN_UNIFORM_PRIOR, VB, AgentSpec, Transition
+from punctrl.agents import EG, ME, VB, AgentSpec, Transition
 from punctrl.net import reparameterize, split_gaussian
 from punctrl.train import loss_and_output_grad
 
@@ -58,7 +58,6 @@ def reference_loss_vb(prediction, bootstrap_target, action, mu, log_sigma, noise
 
 
 def reference_loss_me(prediction, bootstrap_target, action, mu, log_sigma, noise, spec):
-    sign = -1.0 if spec.me_sign == SIGN_UNIFORM_PRIOR else 1.0
     sigma = np.exp(log_sigma)
     q = reparameterize(mu, log_sigma, noise)
     diff = prediction - bootstrap_target
@@ -74,11 +73,11 @@ def reference_loss_me(prediction, bootstrap_target, action, mu, log_sigma, noise
     k = float(np.sum(unclamped))
     grad_q = unclamped.astype(float) - k * sm_raw
 
-    grad_mu = sign * spec.w_me * grad_q
-    grad_ls = sign * spec.w_me * grad_q * sigma * noise
+    grad_mu = -spec.w_me * grad_q
+    grad_ls = -spec.w_me * grad_q * sigma * noise
     grad_mu[action] += 2.0 * diff
     grad_ls[action] += 2.0 * diff * sigma[action] * noise[action]
-    return loss_td + sign * spec.w_me * loss_me_term, grad_mu, grad_ls
+    return loss_td - spec.w_me * loss_me_term, grad_mu, grad_ls
 
 
 def reference_output_gradients(spec, head_out, noise, tr, target_q):
@@ -119,15 +118,16 @@ def random_case(spec, rng):
     return head_out, noise, tr, target_q
 
 
-SPECS = [
-    AgentSpec(kind=EG),
-    AgentSpec(kind=VB),
-    AgentSpec(kind=ME, me_sign=SIGN_UNIFORM_PRIOR),
-    AgentSpec(kind=ME, me_sign=SIGN_AS_WRITTEN),
-]
+# a negative w_me adds the me penalty's sum, as the paper writes it
+SPECS = {
+    "eg-uniform_prior": AgentSpec(kind=EG),
+    "vb-uniform_prior": AgentSpec(kind=VB),
+    "me-uniform_prior": AgentSpec(kind=ME),
+    "me-as_written": AgentSpec(kind=ME, w_me=-math.e),
+}
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.me_sign}")
+@pytest.mark.parametrize("spec", SPECS.values(), ids=SPECS.keys())
 def test_matches_reference_formulas(spec):
     rng = np.random.default_rng(31)
     clamped = 0
@@ -147,12 +147,12 @@ def test_matches_reference_formulas(spec):
         assert clamped >= DRAWS // 10
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.me_sign}")
-def test_outputs_pinned(spec, host_numerics):
+@pytest.mark.parametrize("name, spec", SPECS.items(), ids=SPECS.keys())
+def test_outputs_pinned(name, spec, host_numerics):
     rng = np.random.default_rng(47)
     digest = hashlib.sha256()
     for _ in range(PIN_DRAWS):
         loss, grad = loss_and_output_grad(spec, *random_case(spec, rng))
         digest.update(np.float64(loss).tobytes())
         digest.update(np.asarray(grad, dtype="<f8").tobytes())
-    assert digest.hexdigest() == OUTPUT_PINS[f"{spec.kind}-{spec.me_sign}"], host_numerics
+    assert digest.hexdigest() == OUTPUT_PINS[name], host_numerics

@@ -57,6 +57,7 @@ MUTANTS = (
     (AGENTS, "return diff * diff, 2.0 * diff", "return diff * diff, diff", KILLED),
     (AGENTS, "grad_ls.append(w * (-1.0 + ", "grad_ls.append(w * (1.0 + ", KILLED),
     (AGENTS, "k = float(sum(unclamped))", "k = float(len(unclamped))", KILLED),
+    (AGENTS, "weight = -spec.w_me", "weight = spec.w_me", KILLED),
     (AGENTS, "return max(0.0, spec.epsilon_initial", "return (spec.epsilon_initial", KILLED),
     # the network engine: one forward pass and a backward that writes only its gradients
     (NET, "where=t <= 0.0)", "where=t < 0.0)", KILLED),
@@ -104,6 +105,12 @@ MUTANTS = (
      KILLED),
     (CLI, "if rep == 0 or spec.head_mode != DETERMINISTIC:", "if rep == 0:", KILLED),
     (CLI, "range(args.reps or ADAPTATION_REPS)", "range(args.reps or 9)", KILLED),
+    # an explicit --seed 0 must not fall back to the default
+    (CLI, "ADAPTATION_SEED if args.seed is None else args.seed", "args.seed or ADAPTATION_SEED",
+     KILLED),
+    # runtime failures reach main's error line only by raising
+    (CLI, "            raise ValueError(f\"{path} holds a {kind} agent,",
+     "            print(f\"{path} holds a {kind} agent,", KILLED),
     # config parsing, the manifest and its out_dir rule
     (CONFIG, "if head.lower() == key:", "if head == key:", KILLED),
     (CONFIG, "        return format(value, \".17g\")", "        return format(value, \".16g\")",
