@@ -31,7 +31,7 @@ from .train import (
     ADAPTATION_REPS,
     ADAPTATION_SEED,
     MANUAL,
-    format_run_id,
+    find_checkpoints,
     load_checkpoint,
     manual_baseline,
     network_dims,
@@ -167,17 +167,6 @@ def cmd_baseline(args) -> int:
     return _run_reps(_resolved_config(args), manual_baseline)
 
 
-def _find_checkpoints(root: str, cfg) -> list:
-    """The ``<run id>_*.ckpt`` files under ``root`` of the runs in manifest ``cfg``, in
-    path order: each run's final checkpoint if it has one, else all of that run's."""
-    run_ids = {format_run_id(cfg.agent.kind, cfg.seed + rep) for rep in range(cfg.reps)}
-    found = sorted(glob.glob(os.path.join(root, "**", "*.ckpt"), recursive=True))
-    runs = [os.path.basename(path).rsplit("_", 1)[0] for path in found]
-    final = {run for run, path in zip(runs, found) if path.endswith("_final.ckpt")}
-    return [path for run, path in zip(runs, found)
-            if run in run_ids and (run not in final or path.endswith("_final.ckpt"))]
-
-
 def cmd_probe(args) -> int:
     given = [f"--{name}" for name in ("reps", "cap", "seed") if getattr(args, name) is not None]
     if args.mode == "reaction" and given:
@@ -192,7 +181,7 @@ def cmd_probe(args) -> int:
         raise ValueError(f"no manifest.ini in {root}: probe needs the manifest the checkpoints "
                          "were trained with")
     cfg = load_config(manifest)
-    files = _find_checkpoints(root, cfg)
+    files = find_checkpoints(root, cfg.agent.kind, range(cfg.seed, cfg.seed + cfg.reps))
     if not files:
         raise ValueError(f"no checkpoints of the runs in {manifest} found under {root}")
     spec = cfg.agent

@@ -8,7 +8,8 @@ reproduces the run bit-for-bit.
 
 The keys and their defaults are the fields of ``SimConfig`` ([sim]),
 ``AgentSpec`` ([agent]) and ``TrainConfig`` ([train]), plus the run fields
-of ``CliConfig`` ([run]); this module restates none of them.
+of ``CliConfig`` ([run]); this module restates none of them, nor the text
+of their values, which the codec in ``metrics`` writes and parses.
 """
 
 import configparser
@@ -16,7 +17,7 @@ import io
 from dataclasses import dataclass, fields
 
 from .agents import AgentSpec
-from .metrics import write_atomic
+from .metrics import PARSERS, format_value, write_atomic
 from .seeding import U64_MAX
 from .sim import SimConfig
 from .train import TrainConfig
@@ -67,29 +68,10 @@ class CliConfig(TrainConfig):
 RUN_FIELDS = ("seed", "reps", "jobs", "out_dir")
 
 
-def _parse_dims(text: str) -> tuple:
-    try:
-        dims = tuple(int(part.strip(), 10) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ValueError(f"expected comma-separated layer widths, got {text!r}")
-    return dims
-
-
-# field type -> parser of its config value; fields of other types (the agent
-# and sim holders, checkpoint_dir) are not config keys
-PARSERS = {int: int, float: float, str: str, tuple: _parse_dims}
-
-
+# fields of types the codec does not parse (the agent and sim holders,
+# checkpoint_dir) are not config keys
 def _keys(cls) -> dict:
     return {f.name: PARSERS[f.type] for f in fields(cls) if f.type in PARSERS}
-
-
-def _fmt_value(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return str(value)
 
 
 # section -> key -> parser; order defines the manifest layout
@@ -198,7 +180,7 @@ def config_text(cfg: CliConfig) -> str:
         out.write(f"[{section}]\n")
         holder = _holder(cfg, section)
         for key in keys:
-            out.write(f"{key} = {_fmt_value(getattr(holder, key))}\n")
+            out.write(f"{key} = {format_value(getattr(holder, key))}\n")
         out.write("\n")
     return out.getvalue()
 

@@ -1,4 +1,4 @@
-"""Metric records, lossless CSV persistence, and repetition aggregation."""
+"""Metric records, the text codec of typed values, CSV files and repetition aggregation."""
 
 import csv
 import io
@@ -77,21 +77,43 @@ def write_atomic(path, data: bytes) -> None:
             os.remove(tmp)
 
 
-def _format_cell(value) -> str:
+def format_value(value) -> str:
+    """``value`` as a CSV cell or a manifest value; its type's entry in PARSERS reads it back."""
     if value is None:
         return ""
     if isinstance(value, float):
         return format(value, ".17g")
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
     text = str(value)
-    if "\r" in text:  # the writer leaves it unquoted, so a reader would split the record
-        raise ValueError(f"a CSV cell cannot hold a carriage return: {text!r}")
+    # the CSV writer leaves it unquoted and the config reader ends a value there
+    if "\r" in text:
+        raise ValueError(f"a value cannot hold a carriage return: {text!r}")
     return text
+
+
+def _parse_widths(text: str) -> tuple:
+    try:
+        return tuple(int(part.strip(), 10) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise ValueError(f"expected comma-separated layer widths, got {text!r}")
+
+
+# field type -> parser of the text format_value writes
+PARSERS = {
+    str: str,
+    int: int,
+    float: float,
+    tuple: _parse_widths,
+    int | None: lambda s: int(s) if s else None,
+    float | None: lambda s: float(s) if s else None,
+}
 
 
 def write_csv(rows, path, row_type) -> None:
     """UTF-8 CSV of ``row_type`` rows with a header, written atomically.
 
-    Every line ends with a newline, and floats keep 17 significant digits:
+    Every line ends with a newline and every cell is format_value's text, so
     read_csv reproduces every finite value exactly. A carriage return in a
     cell raises ValueError.
     """
@@ -103,17 +125,8 @@ def write_csv(rows, path, row_type) -> None:
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(names)
     for row in rows:
-        writer.writerow([_format_cell(getattr(row, name)) for name in names])
+        writer.writerow([format_value(getattr(row, name)) for name in names])
     write_atomic(path, text.getvalue().encode("utf-8"))
-
-
-_PARSERS = {
-    str: str,
-    int: int,
-    float: float,
-    int | None: lambda s: int(s) if s else None,
-    float | None: lambda s: float(s) if s else None,
-}
 
 
 def read_csv(path, row_type) -> list:
@@ -126,7 +139,7 @@ def read_csv(path, row_type) -> list:
     UTF-8 raises one naming the path.
     """
     names = field_names(row_type)
-    parsers = [_PARSERS[f.type] for f in fields(row_type)]
+    parsers = [PARSERS[f.type] for f in fields(row_type)]
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             text = fh.read()

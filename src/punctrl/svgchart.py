@@ -51,6 +51,8 @@ def _ticks(lo: float, hi: float, target: int = 5) -> list:
     t = first
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < 1e-12 else t)
+        if t + step == t:  # a step below half the float spacing at t never moves it
+            break
         t += step
     return ticks
 

@@ -5,6 +5,7 @@ single transition, one Polyak target update. Episodes reset the
 environment (the random stream keeps running) but never the networks.
 """
 
+import glob
 import math
 import os
 import struct
@@ -366,6 +367,17 @@ def save_checkpoint(path, params: NetworkParams, agent_kind: str, step_count: in
                          step_count, len(params.shapes), *dims)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     write_atomic(path, header + params.flat.astype("<f8", copy=False).tobytes())
+
+
+def find_checkpoints(root: str, kind: str, seeds) -> list:
+    """The checkpoints ``train`` wrote under ``root`` for the ``kind`` runs of ``seeds``, in
+    path order: each run's final checkpoint if it has one, else all of that run's."""
+    run_ids = {format_run_id(kind, seed) for seed in seeds}
+    found = sorted(glob.glob(os.path.join(root, "**", "*.ckpt"), recursive=True))
+    runs = [os.path.basename(path).rsplit("_", 1)[0] for path in found]
+    final = {run for run, path in zip(runs, found) if path.endswith("_final.ckpt")}
+    return [path for run, path in zip(runs, found)
+            if run in run_ids and (run not in final or path.endswith("_final.ckpt"))]
 
 
 def load_checkpoint(path) -> tuple[NetworkParams, str, int]:

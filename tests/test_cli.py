@@ -627,6 +627,17 @@ class TestCmdProbe:
         rows = read_csv(os.path.join(out, "reaction", "probes.csv"), ProbeRow)
         assert [r.run_id for r in rows] == ["eg-s0_final", "eg-s1_ep001", "eg-s1_ep002"]
 
+    @pytest.mark.parametrize("first, last", [(1, 10), (10, 1)])
+    def test_run_ids_match_whole(self, tmp_path, tiny_config, first, last):
+        # eg-s1 is a prefix of eg-s10: only the last run's checkpoint is the manifest's
+        out = str(tmp_path / "shared")
+        for seed in (first, last):
+            assert run("train", "--config", tiny_config, "--agent", "eg", "--seed", str(seed),
+                       "--out", out) == 0
+        assert run("probe", "--checkpoints", out, "--mode", "reaction") == 0
+        rows = read_csv(os.path.join(out, "reaction", "probes.csv"), ProbeRow)
+        assert [r.run_id for r in rows] == [f"eg-s{last}_final"]
+
     def test_other_runs_checkpoints_are_not_found(self, tmp_path, tiny_config, capsys):
         out = str(tmp_path / "moved")
         assert run("train", "--config", tiny_config, "--agent", "eg", "--seed", "0",
@@ -692,6 +703,21 @@ class TestCmdReport:
         assert text.count("<polyline") == 1  # one eg series
         assert "stroke-dasharray" in text  # baseline line present
         assert "steps until the new event" in capsys.readouterr().out
+
+    def test_means_one_float_spacing_apart_are_charted(self, tmp_path):
+        # vb's mean of three 0.1s is 0.10000000000000002, so the y range of
+        # tx_interrupted.svg spans one float spacing
+        header = ("run_id,agent,seed,episode,sum_reward,tx_interrupted_ratio,"
+                  "urllc_missed_ratio,critical_missed_ratio,epsilon_end\n")
+        runs = tmp_path / "runs"
+        for kind, seeds in (("eg", [0]), ("vb", [0, 1, 2])):
+            (runs / kind).mkdir(parents=True)
+            (runs / kind / "episodes.csv").write_text(header + "".join(
+                f"{kind}-s{seed},{kind},{seed},1,{seed - 1},0.1,0,0,0\n" for seed in seeds))
+        out = tmp_path / "report"
+        assert run("report", "--in", str(runs), "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "rewards.svg", "summary.csv", "tx_interrupted.svg", "urllc_missed.svg"]
 
     def test_markup_in_agent_names_is_escaped(self, tmp_path, tiny_config):
         import xml.etree.ElementTree as ET

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from punctrl.svgchart import Series, emit_linechart
+from punctrl.svgchart import Series, _ticks, emit_linechart
 
 
 def read(path):
@@ -68,6 +68,19 @@ class TestEmitLinechart:
         texts = [el.text for el in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")]
         assert texts.count("a & b < c") == 2  # the title and the y-axis label
         assert "<x>&y" in texts
+
+    def test_range_of_one_float_spacing_ends(self, tmp_path):
+        # vb's mean of three 0.1s is 0.10000000000000002, one float spacing above
+        # 0.1, and the tick step is below half that spacing
+        series = [Series("eg", [1], [0.1], lo=[0.1], hi=[0.1]),
+                  Series("vb", [1], [0.10000000000000002], lo=[0.1], hi=[0.1])]
+        path = tmp_path / "narrow.svg"
+        emit_linechart(series, path, "t")
+        assert read(path).count('text-anchor="end" dominant-baseline="middle"') == 1
+
+
+def test_ticks_stop_when_the_step_cannot_move_them():
+    assert _ticks(0.5, 0.5 + 2**-53) == [0.5]
 
 
 def _band(label, xs, mean, width):

@@ -39,9 +39,10 @@ KILLED, EQUIVALENT = "killed", "equivalent"
 JOBS = 2  # mutants run at once; each runs one pytest process
 TIMEOUT_S = 600  # a suite still running after this counts the mutant as killed (hung)
 
-SIM, AGENTS, NET, TRAIN, CLI, CONFIG, METRICS, ESTIMATOR, SEEDING = (
+SIM, AGENTS, NET, TRAIN, CLI, CONFIG, METRICS, ESTIMATOR, SEEDING, SVGCHART = (
     f"src/punctrl/{name}.py" for name in
-    ("sim", "agents", "net", "train", "cli", "config", "metrics", "estimator", "seeding"))
+    ("sim", "agents", "net", "train", "cli", "config", "metrics", "estimator", "seeding",
+     "svgchart"))
 
 # (file, exact old text, new text, expected outcome)
 MUTANTS = (
@@ -92,17 +93,20 @@ MUTANTS = (
     (TRAIN, "row.logstd_wait = float(log_sigma[0])", "row.logstd_wait = float(log_sigma[1])",
      KILLED),
     (TRAIN, "ProbeRow(run_id, spec.kind, 0,", "ProbeRow(run_id, \"eg\", 0,", KILLED),
-    # the checkpoint format
+    # the checkpoint format, and which checkpoints probe reads
     (TRAIN, "params.flat.astype(\"<f8\", copy=False)", "params.flat.astype(\">f8\", copy=False)",
      KILLED),
     (TRAIN, "if len(buf) > expected:", "if len(buf) > expected + 8:", KILLED),
-    # which checkpoints probe reads, and what it does per rep
-    (CLI, "if run in run_ids and (run not in final or", "if run in run_ids and (not final or",
+    (TRAIN, "if run in run_ids and (run not in final or", "if run in run_ids and (not final or",
      KILLED),
     # a run without a final checkpoint gives only its first intermediate one
-    (CLI, "(run not in final or path.endswith(\"_final.ckpt\"))",
+    (TRAIN, "(run not in final or path.endswith(\"_final.ckpt\"))",
      "(run not in final and path.endswith(\"_ep001.ckpt\") or path.endswith(\"_final.ckpt\"))",
      KILLED),
+    # eg-s1 is a prefix of eg-s10
+    (TRAIN, "if run in run_ids and",
+     "if any(os.path.basename(path).startswith(r) for r in run_ids) and", KILLED),
+    # what probe does per rep
     (CLI, "if rep == 0 or spec.head_mode != DETERMINISTIC:", "if rep == 0:", KILLED),
     (CLI, "range(args.reps or ADAPTATION_REPS)", "range(args.reps or 9)", KILLED),
     # an explicit --seed 0 must not fall back to the default
@@ -113,16 +117,15 @@ MUTANTS = (
      "            print(f\"{path} holds a {kind} agent,", KILLED),
     # config parsing, the manifest and its out_dir rule
     (CONFIG, "if head.lower() == key:", "if head == key:", KILLED),
-    (CONFIG, "        return format(value, \".17g\")", "        return format(value, \".16g\")",
-     KILLED),
     (CONFIG, "if not out_dir or out_dir != out_dir.strip() or", "if not out_dir or", KILLED),
     (CONFIG, "or \"\\n\" in out_dir or", "or", KILLED),
     (CONFIG, "or \"\\r\" in out_dir:", "or \"\\r\\n\" in out_dir:", KILLED),
     (CONFIG, "out_dir.encode(\"utf-8\")", "out_dir.encode(\"utf-8\", \"surrogateescape\")",
      KILLED),
-    # CSV cells and the cut-short check
-    (METRICS, "        return format(value, \".17g\")", "        return format(value, \".15g\")",
-     KILLED),
+    # the text codec of CSV cells and manifest values, and the cut-short check
+    (METRICS, "return format(value, \".17g\")", "return format(value, \".16g\")", KILLED),
+    # a tuple of layer widths written as "(128, 128)" does not parse back
+    (METRICS, "if isinstance(value, tuple):", "if isinstance(value, list):", KILLED),
     (METRICS, "if not text.endswith(\"\\n\"):", "if not text:", KILLED),
     (METRICS, "var = sum((v - mean) ** 2 for v in vals) / (n - 1)",
      "var = sum((v - mean) ** 2 for v in vals) / n", KILLED),
@@ -136,6 +139,8 @@ MUTANTS = (
      "self._floats = ((raw >> 12) * _DOUBLE_UNIT)", KILLED),
     (SEEDING, "self._half = word >> 32", "self._half = word >> 31", KILLED),
     (SEEDING, "threshold = 2**32 % span", "threshold = 0", KILLED),
+    # chart ticks: dropping the stop would loop without end, so this one stops a tick late
+    (SVGCHART, "if t + step == t:", "if t + step == t and ticks[1:]:", KILLED),
 )
 
 
