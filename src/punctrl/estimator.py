@@ -16,8 +16,9 @@ from .sim import SimConfig, decode_state
 from .train import TrainConfig, manual_action, manual_baseline, train
 from .validation import check_state_matrix
 
-# rows per batched forward pass in DqnScheduler.decision_function
-PREDICT_BLOCK_ROWS = 1024
+# rows per batched forward pass in DqnScheduler.decision_function; the last
+# block is zero-padded to this size, so every row meets the same matmul kernel
+PREDICT_BLOCK_ROWS = 128
 
 # TrainConfig holders whose fields are flat estimator parameters
 HOLDERS = {"agent": AgentSpec, "sim": SimConfig}
@@ -31,22 +32,17 @@ def _param_name(holder: str, name: str) -> str:
 def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, inverse) for the distinct rows of a 2-D float array.
 
-    ``X[first]`` holds each distinct row once, in the order of first
-    appearance, and ``X[first][inverse]`` equals X byte for byte. Rows are
-    the same only when their bytes are, so 0.0 and -0.0 stay apart: each
-    row is viewed as one opaque void scalar of its bytes, which np.unique
-    sorts and groups exactly.
+    ``X[first]`` holds each distinct row once, in np.unique's order, and
+    ``X[first][inverse]`` equals X byte for byte. Rows are the same only
+    when their bytes are, so 0.0 and -0.0 stay apart: each row is viewed as
+    one opaque void scalar of its bytes, which np.unique sorts and groups
+    exactly.
     """
     # the void view needs each row's bytes side by side
     X = np.ascontiguousarray(X)
     rows = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).reshape(-1)
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    # number the groups in order of first appearance, so rows that are all
-    # distinct reach the network in their own order and blocks
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return first[order], rank[inverse.reshape(-1)]
+    return first, inverse
 
 
 class ParamsProtocolMixin:
@@ -126,14 +122,11 @@ class DqnScheduler(_scheduler_params("DqnScheduler", ("agent", "sim"), learner=T
     def decision_function(self, X) -> np.ndarray:
         """Per-action value estimates (the Gaussian heads report their means).
 
-        Each distinct row goes through the network once, in the order of
-        first appearance and PREDICT_BLOCK_ROWS rows at a time, and its
-        values are copied to every row equal to it, so equal rows get equal
-        values. The values agree with one forward pass per row up to
-        rounding: OpenBLAS rounds a block below a few hundred rows with
-        another matmul kernel, so a state's last bits can differ between
-        calls that hold different numbers of distinct rows. Padding blocks to
-        full size would mend that, but a one-row call would cost a full one.
+        Each distinct row goes through the network once, in blocks of
+        PREDICT_BLOCK_ROWS rows with the last one zero-padded, and its values
+        are copied to every row equal to it. Every block has one shape, so
+        on a given host a state's values depend only on the state and the
+        weights, not on what else the call holds.
         """
         self._check_fitted()
         cfg = self._train_config()
@@ -141,9 +134,11 @@ class DqnScheduler(_scheduler_params("DqnScheduler", ("agent", "sim"), learner=T
         first, inverse = distinct_rows(X)
         values = np.empty((first.shape[0], cfg.sim.n_actions))
         for start in range(0, first.shape[0], PREDICT_BLOCK_ROWS):
-            stop = start + PREDICT_BLOCK_ROWS
-            out = forward(self.params_, X[first[start:stop]])
-            values[start:stop] = read_head(cfg.agent.head_mode, out)[0]
+            rows = first[start:start + PREDICT_BLOCK_ROWS]
+            block = np.zeros((PREDICT_BLOCK_ROWS, cfg.sim.state_dim))
+            block[:rows.size] = X[rows]
+            out = forward(self.params_, block)[:rows.size]
+            values[start:start + PREDICT_BLOCK_ROWS] = read_head(cfg.agent.head_mode, out)[0]
         return values[inverse]
 
     def predict(self, X) -> np.ndarray:

@@ -69,7 +69,8 @@ def _data_range(values, fallback) -> tuple:
     if not values:
         return fallback
     lo, hi = min(values), max(values)
-    if lo == hi:
+    # a range within rounding of one value is drawn as that one value
+    if hi - lo <= 1e-9 * max(abs(lo), abs(hi)):
         pad = 0.5 if lo == 0 else abs(lo) * 0.1
         return lo - pad, hi + pad
     pad = (hi - lo) * 0.05

@@ -2,6 +2,7 @@ import ctypes
 import glob
 import itertools
 import os
+import re
 import sys
 
 import numpy as np
@@ -65,6 +66,18 @@ def softmax_clipped():
         return np.clip(e / np.sum(e), clip_low, 1.0)
 
     return softmax
+
+
+@pytest.fixture
+def polyline_ys():
+    """A function giving the set of y coordinates of every polyline point in an SVG text."""
+
+    def ys(text):
+        return {point.split(",")[1]
+                for points in re.findall(r'<polyline points="([^"]*)"', text)
+                for point in points.split()}
+
+    return ys
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -704,7 +704,7 @@ class TestCmdReport:
         assert "stroke-dasharray" in text  # baseline line present
         assert "steps until the new event" in capsys.readouterr().out
 
-    def test_means_one_float_spacing_apart_are_charted(self, tmp_path):
+    def test_means_one_float_spacing_apart_are_charted(self, tmp_path, polyline_ys):
         # vb's mean of three 0.1s is 0.10000000000000002, so the y range of
         # tx_interrupted.svg spans one float spacing
         header = ("run_id,agent,seed,episode,sum_reward,tx_interrupted_ratio,"
@@ -718,6 +718,8 @@ class TestCmdReport:
         assert run("report", "--in", str(runs), "--out", str(out)) == 0
         assert sorted(p.name for p in out.iterdir()) == [
             "rewards.svg", "summary.csv", "tx_interrupted.svg", "urllc_missed.svg"]
+        # a last-bit difference is drawn as no gap: both polylines share one y
+        assert len(polyline_ys((out / "tx_interrupted.svg").read_text())) == 1
 
     def test_markup_in_agent_names_is_escaped(self, tmp_path, tiny_config):
         import xml.etree.ElementTree as ET

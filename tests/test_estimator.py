@@ -15,10 +15,10 @@ from punctrl.sim import SimConfig, decode_state
 from punctrl.train import TrainConfig, manual_action, manual_baseline
 
 # sha256 of decision_function over every reference state, in every_state
-# order, computed while every row still went through the network
+# order, each checked equal to undeduplicated_values over the same states
 REFERENCE_STATE_PINS = {
-    "eg": "35cb28a93db3101e23a5332f6710202e496d882a2dc4d7c5ff7472a66689d361",
-    "vb": "4fc15a504bd4d08e4b170d35a30bf9fc02ea6ae86721bdc7d8d17efdc952c9ad",
+    "eg": "92d3533502d5dd9d09300f4005c05eab56639a38670911f5e4bd685c80129bf9",
+    "vb": "d208fb9572bec2c6a11befa02b8cff66bb357585f761bda31c4b162ca7452c8d",
 }
 
 
@@ -28,27 +28,19 @@ def reference_scheduler(agent):
 
 
 def undeduplicated_values(est, X):
-    """Every row of X through the network, PREDICT_BLOCK_ROWS at a time."""
+    """Every row of X through the network in zero-padded blocks of PREDICT_BLOCK_ROWS."""
     values = []
     for start in range(0, X.shape[0], PREDICT_BLOCK_ROWS):
-        out = forward(est.params_, X[start:start + PREDICT_BLOCK_ROWS])
+        rows = X[start:start + PREDICT_BLOCK_ROWS]
+        block = np.zeros((PREDICT_BLOCK_ROWS, X.shape[1]))
+        block[:rows.shape[0]] = rows
+        out = forward(est.params_, block)[:rows.shape[0]]
         values.append(out if est.agent == "eg" else split_gaussian(out)[0])
     return np.concatenate(values)
 
 
 def same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def reference_grouping(X):
-    """(first, inverse) as lists: rows keyed by their bytes, groups numbered by first appearance."""
-    groups, first, inverse = {}, [], []
-    for i, row in enumerate(X):
-        if row.tobytes() not in groups:
-            groups[row.tobytes()] = len(first)
-            first.append(i)
-        inverse.append(groups[row.tobytes()])
-    return first, inverse
 
 
 SIM_PARAMS = ("n_resources", "slots_per_subframe", "p_occupy", "occupy_len_min",
@@ -189,25 +181,30 @@ class TestDqnScheduler:
         rows = np.stack([forward(est.params_, s)[:3] for s in X])
         values = est.decision_function(X)
         assert values.shape == (X.shape[0], 3)
-        # not array_equal: OpenBLAS rounds a one-row matmul, and the 37-row
-        # tail block, with another kernel than a full block
+        # not array_equal: OpenBLAS rounds a one-row matmul with another
+        # kernel than a full block
         assert np.allclose(values, rows, rtol=1e-12, atol=1e-14)
         assert np.array_equal(est.predict(X), np.argmax(rows, axis=1))
 
     @pytest.mark.parametrize("agent", ["eg", "vb"])
     def test_repeated_shuffled_rows_match_undeduplicated(self, agent):
-        # ~1610 distinct rows among 5000: both evaluations cross block
-        # boundaries, and every block, deduplicated or not, holds over 512
-        # rows; for smaller matrices the BLAS may pick a kernel that rounds
-        # differently
         est = reference_scheduler(agent)
         rng = np.random.default_rng(12)
         rows = rng.uniform(0, 1, size=(1700, 5))
         X = rows[rng.integers(0, rows.shape[0], 5000)]
-        first, _ = distinct_rows(X)
-        assert first.shape[0] % PREDICT_BLOCK_ROWS > 512
-        assert X.shape[0] % PREDICT_BLOCK_ROWS > 512
         assert same_bytes(est.decision_function(X), undeduplicated_values(est, X))
+
+    @pytest.mark.parametrize("agent", ["eg", "vb", "me"])
+    def test_values_do_not_depend_on_the_call(self, agent):
+        est = reference_scheduler(agent)
+        b = PREDICT_BLOCK_ROWS
+        rng = np.random.default_rng(16)
+        pool = rng.uniform(0, 1, size=(4 * b + 3, 5))
+        full = est.decision_function(pool)
+        sizes = [0, 1, b - 1, b, b + 1, *rng.integers(2, 3 * b + 1, 12)]
+        for size in sizes:
+            rows = rng.choice(pool.shape[0], size, replace=False)
+            assert same_bytes(est.decision_function(pool[rows]), full[rows]), size
 
     def test_signed_zero_rows_evaluated_apart(self):
         est = reference_scheduler("vb")
@@ -262,7 +259,10 @@ class TestDistinctRows:
     @given(X=arrays(float, st.tuples(st.integers(0, 40), st.integers(1, 4)),
                     elements=st.sampled_from([0.0, -0.0, 1 / 3, 1.0])))
     def test_matches_reference_grouping(self, X):
-        assert [a.tolist() for a in distinct_rows(X)] == list(reference_grouping(X))
+        first, inverse = distinct_rows(X)
+        assert same_bytes(X[first][inverse], X)
+        assert len({row.tobytes() for row in X[first]}) == first.shape[0]
+        assert first.shape[0] == len({row.tobytes() for row in X})
 
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
     def test_non_contiguous_rows_match_contiguous_copy(self, layout, every_state):

@@ -69,14 +69,14 @@ class TestEmitLinechart:
         assert texts.count("a & b < c") == 2  # the title and the y-axis label
         assert "<x>&y" in texts
 
-    def test_range_of_one_float_spacing_ends(self, tmp_path):
-        # vb's mean of three 0.1s is 0.10000000000000002, one float spacing above
-        # 0.1, and the tick step is below half that spacing
+    def test_range_of_one_float_spacing_ends(self, tmp_path, polyline_ys):
+        # vb's mean of three 0.1s is 0.10000000000000002, one float spacing
+        # above 0.1: the chart ends and draws both means at one height
         series = [Series("eg", [1], [0.1], lo=[0.1], hi=[0.1]),
                   Series("vb", [1], [0.10000000000000002], lo=[0.1], hi=[0.1])]
         path = tmp_path / "narrow.svg"
         emit_linechart(series, path, "t")
-        assert read(path).count('text-anchor="end" dominant-baseline="middle"') == 1
+        assert len(polyline_ys(read(path))) == 1
 
 
 def test_ticks_stop_when_the_step_cannot_move_them():

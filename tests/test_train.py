@@ -295,21 +295,32 @@ class TestProbeAdaptation:
         assert counts == expected
 
     def test_probe_transition_matches_simulator(self):
-        # cross-module oracle: a manually prepared simulator state at the mean
-        # gain 2 sigma^2 must yield the reward and successor the probe constructs
-        for sigma in (1.0, 2.0):
-            sim_cfg = SimConfig(p_request=0.0, rayleigh_sigma=sigma)
-            tr = probe_transition(sim_cfg)
-            env = PuncturingSim(sim_cfg, np.random.default_rng(3))
-            env.reset()
-            env.slot_index = 0
-            env.remaining = [7, 7]
-            env.gain = [2.0 * sigma * sigma] * 2
-            env.request = RequestKind.CRITICAL
-            assert np.array_equal(env.observe(), tr.s)
-            r_total = env.step(0)
-            assert r_total == pytest.approx(tr.r, abs=1e-12)
-            assert np.allclose(env.observe(), tr.s_next, atol=1e-12)
+        # cross-module oracle: the simulator set to the probe state, every gain
+        # at its mean 2 sigma^2, must give the reward and successor the probe
+        # writes out. The probe multiplies one resource's capacity by their
+        # count where the step adds them up, which can round apart above 3
+        # resources, by at most one rounding of the capacity term per
+        # addition; the request flags of the successor are a fresh draw.
+        for sigma, w_capacity, w_discard_critical in ((1.0, 1.0, 5.0), (2.0, 0.5, 3.0),
+                                                      (0.3, 2.5, 10.0)):
+            for n in range(1, 7):
+                sim_cfg = SimConfig(n_resources=n, rayleigh_sigma=sigma, w_capacity=w_capacity,
+                                    w_discard_critical=w_discard_critical)
+                tr = probe_transition(sim_cfg)
+                env = PuncturingSim(sim_cfg, np.random.default_rng(3))
+                env.reset()
+                env.slot_index = 0
+                env.remaining = [sim_cfg.slots_per_subframe] * n
+                env.gain = [2.0 * sigma * sigma] * n
+                env.request = RequestKind.CRITICAL
+                assert np.array_equal(env.observe(), tr.s)
+                r_total = env.step(0)
+                capacity = w_capacity * n * math.log1p(2.0 * sigma * sigma)
+                tolerance = 0.0 if n <= 3 else n * math.ulp(capacity)
+                assert abs(r_total - tr.r) <= tolerance, (sigma, n)
+                slot_and_occupation = [0, *range(3, 3 + n)]
+                assert np.array_equal(env.observe()[slot_and_occupation],
+                                      tr.s_next[slot_and_occupation])
 
     def test_snapshot_not_mutated(self):
         sim_cfg = SimConfig()

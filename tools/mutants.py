@@ -129,18 +129,18 @@ MUTANTS = (
     (METRICS, "if not text.endswith(\"\\n\"):", "if not text:", KILLED),
     (METRICS, "var = sum((v - mean) ** 2 for v in vals) / (n - 1)",
      "var = sum((v - mean) ** 2 for v in vals) / n", KILLED),
-    # batch prediction's grouping and the block reader of the random stream
-    # the first indices np.unique returns are distinct, so any sort orders them alike
-    (ESTIMATOR, "order = np.argsort(first)", "order = np.argsort(first, kind=\"stable\")",
-     EQUIVALENT),
-    (ESTIMATOR, "return first[order], rank[inverse.reshape(-1)]",
-     "return first, inverse.reshape(-1)", KILLED),
+    # batch prediction's block shape and the block reader of the random stream
+    # an unpadded last block meets another matmul kernel than a full one
+    (ESTIMATOR, "forward(self.params_, block)[:rows.size]",
+     "forward(self.params_, block[:rows.size])", KILLED),
     (SEEDING, "self._floats = ((raw >> 11) * _DOUBLE_UNIT)",
      "self._floats = ((raw >> 12) * _DOUBLE_UNIT)", KILLED),
     (SEEDING, "self._half = word >> 32", "self._half = word >> 31", KILLED),
     (SEEDING, "threshold = 2**32 % span", "threshold = 0", KILLED),
     # chart ticks: dropping the stop would loop without end, so this one stops a tick late
     (SVGCHART, "if t + step == t:", "if t + step == t and ticks[1:]:", KILLED),
+    # a range of one float spacing would be drawn as the widest gap
+    (SVGCHART, "if hi - lo <= 1e-9 * max(", "if hi - lo <= 0.0 * max(", KILLED),
 )
 
 

@@ -4,7 +4,10 @@ The pinned digests in the test suite hold only with the OpenBLAS core and
 the numpy SIMD targets they were recorded with. This script reruns the pin
 tests in one child pytest process per setting below, with that setting's
 variables added to the child's environment only, and prints the failing
-test ids of each setting. It is not part of the test suite.
+test ids of each setting. It also reruns the checks that hold on any host,
+such as the test that a state's predicted values do not depend on the call:
+those must pass under every setting, and one that fails is a defect, not a
+moved pin. It is not part of the test suite.
 
 Run from anywhere, with the interpreter that runs the tests:
 
@@ -20,12 +23,14 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-PIN_TESTS = (
+# the pin tests, then the host-independence checks
+RERUN_TESTS = (
     "tests/test_cli_pins.py",
     "tests/test_sim_pins.py",
     "tests/test_loss_reference.py",
     "tests/test_svgchart.py",
     "tests/test_estimator.py::TestDqnScheduler::test_reference_states_pinned",
+    "tests/test_estimator.py::TestDqnScheduler::test_values_do_not_depend_on_the_call",
 )
 
 # the targets numpy dispatches to on an AVX-512 host; disabling them leaves AVX2
@@ -41,12 +46,12 @@ SETTINGS = {
 
 
 def failing_ids(variables: dict) -> list | None:
-    """Ids of the pin tests that fail under ``variables``; None if pytest could not run."""
+    """Ids of the rerun tests that fail under ``variables``; None if pytest could not run."""
     env = dict(os.environ, **variables)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rf", *PIN_TESTS],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rf", *RERUN_TESTS],
         cwd=ROOT, env=env, capture_output=True, text=True, check=False)
     # pytest exits 0 when all pass and 1 when some fail; anything else is no result
     if proc.returncode not in (0, 1):
