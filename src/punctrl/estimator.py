@@ -34,15 +34,26 @@ def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``X[first]`` holds each distinct row once, in np.unique's order, and
     ``X[first][inverse]`` equals X byte for byte. Rows are the same only
-    when their bytes are, so 0.0 and -0.0 stay apart: each row is viewed as
-    one opaque void scalar of its bytes, which np.unique sorts and groups
-    exactly.
+    when their bytes are, so 0.0 and -0.0 stay apart. No row is copied:
+    row indices are sorted on each row's bytes, viewed as one opaque void
+    scalar, with the stable sort np.unique uses, and sorted neighbours are
+    compared one column of bit patterns at a time.
     """
     # the void view needs each row's bytes side by side
     X = np.ascontiguousarray(X)
     rows = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).reshape(-1)
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    return first, inverse
+    order = np.argsort(rows, kind="stable")
+    # starts[i]: sorted row i differs from sorted row i - 1 in some column's bits
+    starts = np.zeros(order.shape, dtype=bool)
+    starts[:1] = True
+    for column in X.view(f"u{X.itemsize}").T:
+        sorted_column = column[order]
+        starts[1:] |= sorted_column[1:] != sorted_column[:-1]
+    ids = np.cumsum(starts, dtype=np.intp)
+    ids -= 1
+    inverse = np.empty_like(ids)
+    inverse[order] = ids
+    return order[starts], inverse
 
 
 class ParamsProtocolMixin:
@@ -119,15 +130,8 @@ class DqnScheduler(_scheduler_params("DqnScheduler", ("agent", "sim"), learner=T
         if not hasattr(self, "params_"):
             raise RuntimeError("this DqnScheduler is not fitted yet; call fit() first")
 
-    def decision_function(self, X) -> np.ndarray:
-        """Per-action value estimates (the Gaussian heads report their means).
-
-        Each distinct row goes through the network once, in blocks of
-        PREDICT_BLOCK_ROWS rows with the last one zero-padded, and its values
-        are copied to every row equal to it. Every block has one shape, so
-        on a given host a state's values depend only on the state and the
-        weights, not on what else the call holds.
-        """
+    def _distinct_values(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """(values, inverse): the values of X's distinct rows, and each row's distinct row."""
         self._check_fitted()
         cfg = self._train_config()
         X = check_state_matrix(X, cfg.sim.state_dim)
@@ -139,11 +143,24 @@ class DqnScheduler(_scheduler_params("DqnScheduler", ("agent", "sim"), learner=T
             block[:rows.size] = X[rows]
             out = forward(self.params_, block)[:rows.size]
             values[start:start + PREDICT_BLOCK_ROWS] = read_head(cfg.agent.head_mode, out)[0]
+        return values, inverse
+
+    def decision_function(self, X) -> np.ndarray:
+        """Per-action value estimates (the Gaussian heads report their means).
+
+        Each distinct row goes through the network once, in blocks of
+        PREDICT_BLOCK_ROWS rows with the last one zero-padded, and its values
+        are copied to every row equal to it. Every block has one shape, so
+        on a given host a state's values depend only on the state and the
+        weights, not on what else the call holds.
+        """
+        values, inverse = self._distinct_values(X)
         return values[inverse]
 
     def predict(self, X) -> np.ndarray:
-        """Greedy action per state vector."""
-        return np.argmax(self.decision_function(X), axis=1)
+        """Greedy action per state vector, taken once per distinct row."""
+        values, inverse = self._distinct_values(X)
+        return np.argmax(values, axis=1)[inverse]
 
 
 class ManualScheduler(_scheduler_params("ManualScheduler", ("sim",), learner=False)):

@@ -345,9 +345,12 @@ def probe_adaptation(params: NetworkParams, cfg: TrainConfig, rng: np.random.Gen
     learner = Learner(params.copy(), cfg, "adaptation probe")
     tr = probe_transition(cfg.sim)
     for count in range(1, cap):
+        # learn from the confrontation before, so the update after the last one,
+        # which nothing reads, is never made
+        if count > 1:
+            learner.learn(tr)
         if learner.act(tr.s, rng) != 0:
             return count
-        learner.learn(tr)
     return cap
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,8 +172,12 @@ class TestDqnScheduler:
 
     def test_decision_function_matches_argmax(self):
         est = tiny_scheduler().fit()
-        X = np.random.default_rng(1).uniform(0, 1, size=(4, 5))
-        assert np.array_equal(est.predict(X), np.argmax(est.decision_function(X), axis=1))
+        rng = np.random.default_rng(1)
+        distinct = rng.uniform(0, 1, size=(4, 5))
+        # predict takes each distinct row's argmax once, then spreads it to its repeats
+        repeated = rng.uniform(0, 1, size=(40, 5))[rng.integers(0, 40, 300)]
+        for X in (distinct, repeated):
+            assert np.array_equal(est.predict(X), np.argmax(est.decision_function(X), axis=1))
 
     @pytest.mark.parametrize("agent", ["eg", "vb"])
     def test_blocks_agree_with_row_by_row(self, agent):
@@ -256,13 +261,31 @@ class TestDistinctRows:
         assert first.shape == inverse.shape == (0,)
 
     @settings(max_examples=200, deadline=None)
-    @given(X=arrays(float, st.tuples(st.integers(0, 40), st.integers(1, 4)),
-                    elements=st.sampled_from([0.0, -0.0, 1 / 3, 1.0])))
+    @given(X=arrays(float, st.tuples(st.integers(0, 300), st.integers(1, 7)),
+                    elements=st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1 / 3, 1.0])))
     def test_matches_reference_grouping(self, X):
         first, inverse = distinct_rows(X)
         assert same_bytes(X[first][inverse], X)
         assert len({row.tobytes() for row in X[first]}) == first.shape[0]
         assert first.shape[0] == len({row.tobytes() for row in X})
+        # np.unique's stable sort and grouping of each row's bytes as one void scalar
+        rows = np.ascontiguousarray(X).view(np.dtype((np.void, X.itemsize * X.shape[1])))
+        _, unique_first, unique_inverse = np.unique(rows.reshape(-1), return_index=True,
+                                                    return_inverse=True)
+        assert first.dtype == unique_first.dtype and same_bytes(first, unique_first)
+        assert inverse.dtype == unique_inverse.dtype and same_bytes(inverse, unique_inverse)
+
+    def test_grouping_makes_no_copy_of_the_rows(self, every_state):
+        states = every_state(SimConfig())
+        rng = np.random.default_rng(17)
+        X = np.tile(states, (50000 // states.shape[0] + 1, 1))[:50000][rng.permutation(50000)]
+        tracemalloc.start()
+        try:
+            distinct_rows(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes, (peak, X.nbytes)
 
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
     def test_non_contiguous_rows_match_contiguous_copy(self, layout, every_state):

@@ -248,16 +248,18 @@ class TestProbeAdaptation:
         rng = np.random.default_rng(1)
         assert probe_adaptation(params, cfg, rng, cap=25) == 25
 
-    @pytest.mark.parametrize("cap", [1, 2, 25])
-    def test_never_exploring_learns_cap_minus_one_times(self, cap, monkeypatch):
-        # a puncture at confrontation cap would return cap too, so it is never confronted
+    @pytest.mark.parametrize("cap, learns", [(1, 0), (2, 0), (3, 1), (25, 23)])
+    def test_never_exploring_learns_before_each_later_confrontation(self, cap, learns,
+                                                                    monkeypatch):
+        # a puncture at confrontation cap would return cap too, so it is never
+        # confronted, and the update after confrontation cap - 1 is never made
         learned = []
         monkeypatch.setattr(Learner, "learn", lambda self, tr: learned.append(tr))
         params = NetworkParams.zeros(5, (4,), 3)
         params.biases[-1][:] = [50.0, 0.0, 0.0]
         cfg = TrainConfig(agent=AgentSpec(kind="eg"))
         assert probe_adaptation(params, cfg, np.random.default_rng(1), cap=cap) == cap
-        assert len(learned) == cap - 1
+        assert len(learned) == learns
 
     def test_cap_below_one_rejected(self):
         cfg = TrainConfig(agent=AgentSpec(kind="eg"))

@@ -83,6 +83,7 @@ MUTANTS = (
     (TRAIN, "mean_gain = 2.0 * sim_cfg.rayleigh_sigma", "mean_gain = sim_cfg.rayleigh_sigma",
      KILLED),
     (TRAIN, "for count in range(1, cap):", "for count in range(1, cap + 1):", KILLED),
+    (TRAIN, "if count > 1:", "if count > 0:", KILLED),
     (TRAIN, "s_next = encode_state(sim_cfg, 1, NONE, [slots - 1]",
      "s_next = encode_state(sim_cfg, 1, NONE, [slots]", KILLED),
     # no float lands exactly on the 1e-12 guard of md
@@ -129,7 +130,14 @@ MUTANTS = (
     (METRICS, "if not text.endswith(\"\\n\"):", "if not text:", KILLED),
     (METRICS, "var = sum((v - mean) ** 2 for v in vals) / (n - 1)",
      "var = sum((v - mean) ** 2 for v in vals) / n", KILLED),
-    # batch prediction's block shape and the block reader of the random stream
+    # batch prediction's grouping and block shape, and the block reader of the random stream
+    # an unstable sort can pick a later repeat as a group's first row
+    (ESTIMATOR, "kind=\"stable\"", "kind=\"quicksort\"", KILLED),
+    (ESTIMATOR, "starts[1:] |=", "starts[1:] &=", KILLED),
+    (ESTIMATOR, "    ids -= 1\n", "", KILLED),
+    # a row-wise argmax commutes with gathering rows
+    (ESTIMATOR, "np.argmax(values, axis=1)[inverse]", "np.argmax(values[inverse], axis=1)",
+     EQUIVALENT),
     # an unpadded last block meets another matmul kernel than a full one
     (ESTIMATOR, "forward(self.params_, block)[:rows.size]",
      "forward(self.params_, block[:rows.size])", KILLED),

@@ -5,7 +5,8 @@ the numpy SIMD targets they were recorded with. This script reruns the pin
 tests in one child pytest process per setting below, with that setting's
 variables added to the child's environment only, and prints the failing
 test ids of each setting. It also reruns the checks that hold on any host,
-such as the test that a state's predicted values do not depend on the call:
+such as the test that a state's predicted values do not depend on the call
+and the exact grouping of batch prediction's rows:
 those must pass under every setting, and one that fails is a defect, not a
 moved pin. It is not part of the test suite.
 
@@ -31,6 +32,7 @@ RERUN_TESTS = (
     "tests/test_svgchart.py",
     "tests/test_estimator.py::TestDqnScheduler::test_reference_states_pinned",
     "tests/test_estimator.py::TestDqnScheduler::test_values_do_not_depend_on_the_call",
+    "tests/test_estimator.py::TestDistinctRows",
 )
 
 # the targets numpy dispatches to on an AVX-512 host; disabling them leaves AVX2
