@@ -60,8 +60,8 @@ def _seed_type(text: str) -> int:
     return _checked_int(text, check_seed)
 
 
-def _count_type(text: str) -> int:
-    return _checked_int(text, lambda value: check_count("the value", value, minimum=1))
+def _count_type(minimum: int):
+    return lambda text: _checked_int(text, lambda value: check_count("the value", value, minimum))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,17 +76,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--agent", dest="kind", choices=AGENT_KINDS,
                          help="exploration strategy")
     p_train.add_argument("--seed", type=_seed_type, help="base seed; rep k uses seed+k")
-    p_train.add_argument("--reps", type=_count_type, help="number of seeded repetitions")
+    p_train.add_argument("--reps", type=_count_type(1), help="number of seeded repetitions")
     p_train.add_argument("--out", dest="out_dir", help="output directory")
-    p_train.add_argument("--jobs", type=_count_type, help="parallel worker processes")
-    p_train.add_argument("--checkpoint-every", type=int, dest="checkpoint_every",
+    p_train.add_argument("--jobs", type=_count_type(1), help="parallel worker processes")
+    p_train.add_argument("--checkpoint-every", type=_count_type(0), dest="checkpoint_every",
                          help="checkpoint interval in episodes (0 = final only)")
     p_train.set_defaults(func=cmd_train)
 
     p_base = sub.add_parser("baseline", help="evaluate the manual scheduling heuristic")
     p_base.add_argument("--config", help="config file; [run] reps and jobs apply as in train")
     p_base.add_argument("--seed", type=_seed_type, help="base seed; rep k uses seed+k")
-    p_base.add_argument("--episodes", type=int, help="number of evaluation episodes")
+    p_base.add_argument("--episodes", type=_count_type(0), help="number of evaluation episodes")
     p_base.add_argument("--out", dest="out_dir", help="output directory")
     p_base.set_defaults(func=cmd_baseline)
 
@@ -94,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--checkpoints", required=True,
                          help="directory containing checkpoints and the run manifest")
     p_probe.add_argument("--mode", choices=("reaction", "adapt"), default="reaction")
-    p_probe.add_argument("--reps", type=_count_type,
+    p_probe.add_argument("--reps", type=_count_type(1),
                          help=f"adapt only: repetitions per checkpoint (default {ADAPTATION_REPS})")
-    p_probe.add_argument("--cap", type=_count_type,
+    p_probe.add_argument("--cap", type=_count_type(1),
                          help=f"adapt only: most confrontations per rep (default {ADAPTATION_CAP})")
     p_probe.add_argument("--seed", type=_seed_type,
                          help=f"adapt only: sampling seed (default {ADAPTATION_SEED})")
@@ -189,18 +189,17 @@ def cmd_probe(args) -> int:
     # 0 is a seed, so only a flag left unset takes the default
     seed = ADAPTATION_SEED if args.seed is None else args.seed
     rows = []
-    for path in files:
+    for run_id, path in files:
         params, kind, _ = load_checkpoint(path)
         if kind != spec.kind:
             raise ValueError(f"{path} holds a {kind} agent, but {manifest} gives {spec.kind}")
         if params.shapes != expected:
             raise ValueError(f"{path} holds weight shapes {params.shapes}, but {manifest} gives "
                              f"{expected}")
-        run_id = os.path.basename(path).removesuffix(".ckpt")
         if args.mode == "reaction":
             rows.append(probe_reaction(params, cfg, run_id))
         else:
-            # _count_type rejects 0, so `or` only fills in flags left unset
+            # _count_type(1) rejects 0, so `or` only fills in flags left unset
             for rep in range(args.reps or ADAPTATION_REPS):
                 # a deterministic head draws nothing that steers it at epsilon 0,
                 # so every rep replays rep 0 and gets its count

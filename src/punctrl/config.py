@@ -1,10 +1,17 @@
 """Sectioned key-value run configuration and manifest echoing.
 
 Every key has a built-in default matching the reference training setup, so
-an absent or empty config file reproduces that run exactly. Unknown
-sections or keys are rejected with the offending line number, and the
+an absent or empty config file reproduces that run exactly, and the
 manifest written next to each run's outputs is itself a valid config that
 reproduces the run bit-for-bit.
+
+A config file is read in one pass, in the grammar of Python's configparser:
+lines end at "\\n" only; blank lines and lines starting with "#" or ";" hold
+nothing; a header is "[name]", and anything after its last "]" is ignored; a
+key ends at its first "=" or ":" and is lower-cased; a line indented deeper
+than its key's line continues that key's value, which keeps its inner blank
+lines and drops trailing ones. An unknown or repeated section or key is an
+error, and each error in a file names its line.
 
 The keys and their defaults are the fields of ``SimConfig`` ([sim]),
 ``AgentSpec`` ([agent]) and ``TrainConfig`` ([train]), plus the run fields
@@ -12,8 +19,8 @@ of ``CliConfig`` ([run]); this module restates none of them, nor the text
 of their values, which the codec in ``metrics`` writes and parses.
 """
 
-import configparser
 import io
+import re
 from dataclasses import dataclass, fields
 
 from .agents import AgentSpec
@@ -28,10 +35,9 @@ class ConfigError(Exception):
     """Configuration problem, anchored to a file line when one is known."""
 
     def __init__(self, message: str, path=None, line=None):
-        anchor = ""
         if path is not None:
-            anchor = f"{path}:{line}: " if line is not None else f"{path}: "
-        super().__init__(anchor + message)
+            message = f"{path}:{line}: {message}" if line is not None else f"{path}: {message}"
+        super().__init__(message)
 
 
 @dataclass
@@ -88,24 +94,6 @@ def _holder(cfg: CliConfig, section: str):
     return getattr(cfg, section) if section in ("sim", "agent") else cfg
 
 
-def _find_line(text: str, section: str | None, key: str | None) -> int | None:
-    in_section = True
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            name = stripped[1:-1].strip()
-            if key is None and name == section:
-                return lineno
-            in_section = True if section is None else name == section
-            continue
-        if key is not None and in_section:
-            # configparser lower-cases the keys it reports
-            head = stripped.split("=", 1)[0].split(":", 1)[0].strip()
-            if head.lower() == key:
-                return lineno
-    return None
-
-
 def load_config(path: str | None) -> CliConfig:
     """Resolve a config file over the built-in defaults; None means defaults."""
     cfg = CliConfig()
@@ -118,47 +106,58 @@ def load_config(path: str | None) -> CliConfig:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}", path=path)
-    # no default section: [DEFAULT] is an unknown section like any other
-    parser = configparser.ConfigParser(interpolation=None, default_section="")
-    try:
-        parser.read_string(text, source=str(path))
-    except configparser.Error as exc:
-        line = getattr(exc, "lineno", None)
-        raise ConfigError(f"cannot parse config: {exc.message}", path=path, line=line)
-    for section in parser.sections():
-        if section not in SCHEMA:
-            raise ConfigError(
-                f"unknown section [{section}]", path=path, line=_find_line(text, section, None)
-            )
-        for key, raw in parser.items(section):
-            if key not in SCHEMA[section]:
-                raise ConfigError(
-                    f"unknown key {key!r} in section [{section}]",
-                    path=path,
-                    line=_find_line(text, section, key),
-                )
-            try:
-                value = SCHEMA[section][key](raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad value for {key}: {exc}", path=path, line=_find_line(text, section, key)
-                )
-            setattr(_holder(cfg, section), key, value)
-    check_config(cfg, path, text)
+    values = {}  # (section, key) -> the lines of its value, in file order
+    lines = {}  # key -> its line; no key is in two sections
+    sections = set()
+    section, value, indent = None, None, 0
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if stripped.startswith(("#", ";")) or not (stripped or value):
+            continue
+        depth = len(line) - len(line.lstrip())
+        if value and (depth > indent or not stripped):
+            value.append(stripped)
+            continue
+        indent = depth
+        close = stripped.rfind("]")
+        if stripped.startswith("[") and close > 1:
+            section, value = stripped[1:close], None
+            if section in sections or section not in SCHEMA:
+                problem = "repeated" if section in sections else "unknown"
+                raise ConfigError(f"{problem} section [{section}]", path=path, line=lineno)
+            sections.add(section)
+            continue
+        cut = next((i for i, char in enumerate(stripped) if char in "=:"), None)
+        if section is None or not cut:
+            expected = "a [section] header" if section is None else "key = value"
+            raise ConfigError(f"expected {expected}, got {stripped!r}", path=path, line=lineno)
+        key = stripped[:cut].rstrip().lower()
+        if key not in SCHEMA[section] or key in lines:
+            problem = "repeated" if key in lines else "unknown"
+            raise ConfigError(f"{problem} key {key!r} in section [{section}]", path=path,
+                              line=lineno)
+        value = values[section, key] = [stripped[cut + 1:].strip()]
+        lines[key] = lineno
+    for (section, key), parts in values.items():
+        try:
+            parsed = SCHEMA[section][key]("\n".join(parts).rstrip())
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {exc}", path=path, line=lines[key])
+        setattr(_holder(cfg, section), key, parsed)
+    check_config(cfg, path, lines)
     return cfg
 
 
-def check_config(cfg: CliConfig, path=None, text: str = "") -> None:
-    """Raise ConfigError for settings no run accepts, anchored to ``path`` if given."""
+def check_config(cfg: CliConfig, path=None, lines=None) -> None:
+    """Raise ConfigError for settings no run accepts, anchored to ``path`` if given,
+    at the line in ``lines`` (key -> line) of the first key the message names."""
     try:
         cfg.validate()
     except ValueError as exc:
         message = str(exc)
-        line = None
-        if path is not None:
-            # validators lead with the field name, which matches the config key
-            line = _find_line(text, None, message.split(" ", 1)[0])
-        raise ConfigError(message, path=path, line=line)
+        # validators name the fields they check, the failing one first
+        named = [word for word in re.findall(r"\w+", message) if word in (lines or {})]
+        raise ConfigError(message, path=path, line=lines[named[0]] if named else None)
 
 
 def as_train_config(cfg: CliConfig, seed: int,

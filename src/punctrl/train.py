@@ -373,14 +373,16 @@ def save_checkpoint(path, params: NetworkParams, agent_kind: str, step_count: in
 
 
 def find_checkpoints(root: str, kind: str, seeds) -> list:
-    """The checkpoints ``train`` wrote under ``root`` for the ``kind`` runs of ``seeds``, in
-    path order: each run's final checkpoint if it has one, else all of that run's."""
+    """(snapshot id, path) of each checkpoint ``train`` wrote under ``root`` for the ``kind``
+    runs of ``seeds``, in path order: each run's final checkpoint if it has one, else all of
+    that run's. A snapshot id is the file name without ``.ckpt``, such as ``eg-s0_final``."""
     run_ids = {format_run_id(kind, seed) for seed in seeds}
     found = sorted(glob.glob(os.path.join(root, "**", "*.ckpt"), recursive=True))
-    runs = [os.path.basename(path).rsplit("_", 1)[0] for path in found]
-    final = {run for run, path in zip(runs, found) if path.endswith("_final.ckpt")}
-    return [path for run, path in zip(runs, found)
-            if run in run_ids and (run not in final or path.endswith("_final.ckpt"))]
+    snapshots = [os.path.basename(path).removesuffix(".ckpt") for path in found]
+    runs = [snapshot.rsplit("_", 1)[0] for snapshot in snapshots]
+    final = {run for run, snapshot in zip(runs, snapshots) if snapshot.endswith("_final")}
+    return [(snapshot, path) for run, snapshot, path in zip(runs, snapshots, found)
+            if run in run_ids and (run not in final or snapshot.endswith("_final"))]
 
 
 def load_checkpoint(path) -> tuple[NetworkParams, str, int]:

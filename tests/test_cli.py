@@ -1,4 +1,6 @@
+import configparser
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from punctrl.agents import AGENT_KINDS, AgentSpec
 from punctrl.cli import build_parser, main
-from punctrl.config import CliConfig, ConfigError, config_text, load_config
-from punctrl.metrics import EpisodeRow, ProbeRow, read_csv
+from punctrl.config import SCHEMA, CliConfig, ConfigError, _holder, config_text, load_config
+from punctrl.metrics import EpisodeRow, ProbeRow, format_value, read_csv
 from punctrl.sim import SimConfig
 
 TINY = """
@@ -64,7 +66,7 @@ out_dir = runs
 probability = st.floats(0.0, 1.0)
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-# any character, with the ones configparser treats specially drawn more often
+# any character, with the ones the config grammar treats specially drawn more often
 path_chars = st.one_of(st.characters(), st.sampled_from(" \t\n\r\x0b\x0c\x85\u2028#;=:[]%"))
 
 
@@ -120,6 +122,66 @@ def valid_configs(draw):
     )
 
 
+def reference_config(path):
+    """The config that Python's configparser reads from ``path``, or None if it is rejected.
+
+    configparser reads the sections and values, which are then parsed in file
+    order and validated: the reference for the grammar load_config reads.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        text = fh.read()
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    cfg = CliConfig()
+    try:
+        parser.read_string(text)
+        for section in parser.sections():
+            if section not in SCHEMA:
+                return None
+            for key, raw in parser.items(section):
+                if key not in SCHEMA[section]:
+                    return None
+                setattr(_holder(cfg, section), key, SCHEMA[section][key](raw))
+        cfg.validate()
+    except (configparser.Error, ValueError):
+        return None
+    return cfg
+
+
+# lines in and around the grammar: blank ones, comments, continuations, stray
+# brackets, headers with text after them, and keys or values no run accepts
+NOISE_LINES = ("", "  ", "\t", "\x0c", "\x85", "# c", "; c = 1", "  # c", "  8", "\tx = 1",
+               "[]", "[]]", "]", "[", "[ sim ]", "[DEFAULT]", "[sim] ; c", "[train]x", "[agent",
+               "episodes", "= 1", ": 1", "nope = 1", "episodes = -1", "hidden_dims = 8,")
+
+
+@st.composite
+def config_texts(draw):
+    """Texts over the SCHEMA sections and keys: keys in mixed case after either
+    delimiter, values of a valid config, some indented, with noise lines among them."""
+    cfg = draw(valid_configs())
+    lines = []
+    for section in draw(st.lists(st.sampled_from(list(SCHEMA)), min_size=1, unique=True)):
+        lines.append(draw(st.sampled_from(["", "", " ", "\t"])) + f"[{section}]")
+        for key in draw(st.lists(st.sampled_from(list(SCHEMA[section])), min_size=1, unique=True)):
+            upper = draw(st.lists(st.booleans(), min_size=len(key), max_size=len(key)))
+            name = "".join(c.upper() if up else c for c, up in zip(key, upper))
+            lines.append(draw(st.sampled_from(["", "", "", " ", "\t"])) + name
+                         + draw(st.sampled_from([" = ", "=", ": ", " :", "\t=\t"]))
+                         + format_value(getattr(_holder(cfg, section), key))
+                         + draw(st.sampled_from(["", "", "", " ", "\x85", "\x0c", " ; c"])))
+    noise = st.tuples(st.integers(0, len(lines)), st.sampled_from(NOISE_LINES))
+    for at, line in draw(st.lists(noise, max_size=4)):
+        lines.insert(at, line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n", "\n  \n"]))
+
+
+# free-form texts strung from the grammar's characters and some section and key names
+grammar_soups = st.lists(st.sampled_from(
+    ["[", "]", "=", ":", "#", ";", " ", "\t", "\n", "\n", "\r", "\x0c", "\x85", "\ufeff", "sim",
+     "train", "DEFAULT", "episodes", "Episodes", "p_occupy", "hidden_dims", "out_dir", "0.5", "3",
+     "8,", "x"]), max_size=40).map("".join)
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "tiny.ini"
@@ -145,7 +207,7 @@ class TestConfig:
         assert cfg.learning_rate == 1e-4
         assert cfg.target_tau == 1e-4
 
-    # configparser reports keys lower-cased, whatever case the file uses
+    # keys are reported lower-cased, whatever case the file uses
     @pytest.mark.parametrize("text, key", [
         ("[sim]\np_occupy = 0.5\np_ocupy = 0.7\n", "p_ocupy"),
         ("[train]\nsteps_per_episode = 10\nEpisodez = 3\n", "episodez"),
@@ -165,8 +227,7 @@ class TestConfig:
             load_config(str(path))
         assert "simulation" in str(err.value)
 
-    # alone, [DEFAULT] was ignored; next to [train] configparser copied its keys
-    # into it, and next to [sim] they failed as [sim] keys with no line
+    # [DEFAULT] is an unknown section like any other, not configparser's default section
     @pytest.mark.parametrize("text, line", [
         ("[DEFAULT]\nepisodes = 5\n", 1),
         ("[DEFAULT]\nepisodes = 5\n\n[train]\nsteps_per_episode = 10\n", 1),
@@ -218,6 +279,13 @@ class TestConfig:
         ("[train]\nepisodes = 2\n\n[run]\nreps = 0\n", 5, "reps"),
         ("[run]\nseed = 2\nout_dir =\n", 3, "out_dir"),
         ("[train]\nsteps_per_episode = 10\nEpisodes = -1\n", 3, "episodes"),
+        # line 3 continues out_dir's value
+        ("[run]\nout_dir = runs\n  episodes = 7\n[train]\nepisodes = -1\n", 5, "episodes"),
+        # U+0085 and U+000C end no line
+        ("[run]\nout_dir = a\x85b\n[train]\nepisodes = -1\n", 4, "episodes"),
+        ("[run]\nout_dir = a\x0cb\n[train]\nepisodes = -1\n", 4, "episodes"),
+        # the message names occupy_len_max first, which the file leaves at its default
+        ("[sim]\nn_resources = 3\noccupy_len_min = 8\n", 3, "occupy_len_max"),
     ])
     def test_bad_value_anchored_to_its_line(self, tmp_path, text, line, key):
         path = tmp_path / "bad.ini"
@@ -226,6 +294,53 @@ class TestConfig:
             load_config(str(path))
         assert f"{path}:{line}:" in str(err.value)
         assert key in str(err.value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[ sim ]\np_occupy = 0.5\n", "1: unknown section [ sim ]"),
+        ("[train]\nepisodes\n", "2: expected key = value, got 'episodes'"),
+        ("episodes = 5\n[train]\n", "1: expected a [section] header, got 'episodes = 5'"),
+        ("[train]\nepisodes = 2\n\n[train]\n", "4: repeated section [train]"),
+        ("[sim]\np_occupy = 0.5\nP_Occupy = 0.6\n", "3: repeated key 'p_occupy' in section [sim]"),
+    ], ids=["spaced-header", "no-delimiter", "before-header", "repeated-section", "repeated-key"])
+    def test_unreadable_line_is_one_error_line(self, tmp_path, text, message):
+        path = tmp_path / "c.ini"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert str(err.value) == f"{path}:{message}"
+
+    def assert_reads_as_reference(self, path, text):
+        path.write_bytes(text.encode("utf-8"))
+        expected = reference_config(path)
+        try:
+            cfg = load_config(str(path))
+        except ConfigError as err:
+            assert expected is None, str(err)
+            assert re.fullmatch(rf"{re.escape(str(path))}:\d+: [^\n]+", str(err)), str(err)
+        else:
+            assert cfg == expected
+            assert config_text(cfg) == config_text(expected)
+
+    @pytest.mark.parametrize("text", [
+        "[train]\nhidden_dims = 8,\n  16\n",
+        "[train]\nhidden_dims = 8,\n\n  16\n\n\n",
+        "[train]\nhidden_dims = 8,\n# c\n  16\n",
+        "[train]\nepisodes = 3\n; c\n  5\n",
+        "[train]\nepisodes =\n  3\n",
+        "[]\n", "[]]\n", "[train] ; c\nepisodes = 3\n", "[train]]\n", "[train]x\nepisodes = 3\n",
+        "[train]\n\tepisodes = 3\n", "\t[train]\nepisodes = 3\n  steps_per_episode = 4\n",
+        "\ufeff[train]\nepisodes = 3\n", "[train]\r\nepisodes = 3\r\n",
+        "[train]\nEPISODES : 3\n", "[train]\nepisodes:3\n", "[train]\n= 3\n", "[train]\n: 3\n",
+        "[run]\nout_dir = a:b=c\n", "[run]\nout_dir = a\x0cb\x85c\n", "\n\n# c\n[train]\n",
+    ])
+    def test_edge_cases_read_as_configparser_reads_them(self, tmp_path, text):
+        self.assert_reads_as_reference(tmp_path / "c.ini", text)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.one_of(config_texts(), grammar_soups))
+    def test_reads_as_configparser_reads(self, tmp_path, text):
+        self.assert_reads_as_reference(tmp_path / "c.ini", text)
 
     def test_default_manifest_text(self):
         # key order and float formatting are part of the manifest format
@@ -285,17 +400,16 @@ class TestCmdTrain:
         assert run("train", "--config", tiny_config, "--agent", "xx",
                    "--out", str(tmp_path / "x")) == 2
 
-    @pytest.mark.parametrize("flag", ["--reps", "--jobs"])
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_count_below_one_is_usage_error(self, tmp_path, tiny_config, flag, value):
+    # --checkpoint-every and baseline's --episodes take 0, but no negative count
+    @pytest.mark.parametrize("value, flag", [
+        *[(value, flag) for value in ("0", "-3") for flag in ("--reps", "--jobs")],
+        ("-1", "--checkpoint-every"),
+        ("-1", "--episodes"),
+    ])
+    def test_count_below_one_is_usage_error(self, tmp_path, tiny_config, value, flag):
         out = tmp_path / "x"
-        assert run("train", "--config", tiny_config, flag, value, "--out", str(out)) == 2
-        assert not out.exists()
-
-    def test_bad_flag_override_writes_no_manifest(self, tmp_path, tiny_config):
-        out = tmp_path / "x"
-        assert run("train", "--config", tiny_config, "--checkpoint-every", "-1",
-                   "--out", str(out)) == 1
+        command = "baseline" if flag == "--episodes" else "train"
+        assert run(command, "--config", tiny_config, flag, value, "--out", str(out)) == 2
         assert not out.exists()
 
     def test_empty_out_flag_is_rejected(self, tmp_path, tiny_config, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 import hashlib
 import inspect
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -235,6 +237,18 @@ class TestDqnScheduler:
         est = tiny_scheduler().fit()
         with pytest.raises(ValueError):
             est.predict(np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: tiny_scheduler(learning_rate=math.nan).fit(),
+         "learning_rate must be positive and finite, got nan"),
+        (lambda: ManualScheduler(episodes=2.0).fit(), "episodes must be an integer, got 2.0"),
+        (lambda: tiny_scheduler(w_lp=math.inf).fit(), "w_lp must be finite, got inf"),
+        (lambda: ManualScheduler().predict(np.full((1, 5), np.nan)),
+         "state vectors must be finite"),
+    ], ids=["nan-learning-rate", "float-episodes", "infinite-w_lp", "nan-state"])
+    def test_bad_input_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_gaussian_agent_decision_uses_means(self):
         est = tiny_scheduler(agent="me").fit()

@@ -348,6 +348,17 @@ def test_divergence_names_the_caller(caller, label, monkeypatch):
         caller(cfg, poisoned, monkeypatch)
 
 
+@pytest.mark.parametrize("kind", AGENT_KINDS)
+def test_parameters_overflowing_at_a_finite_loss_stop_the_run(kind):
+    # Adam's step scale lr / (1 - beta1) overflows at update 1 while the loss is
+    # still finite, so only the check after the episode sees it
+    cfg = small_cfg(kind, episodes=1, steps=1)
+    cfg.learning_rate = 1e308
+    with np.errstate(all="ignore"), pytest.raises(
+            TrainingDiverged, match=f"^non-finite parameters after episode 1 \\({kind}-s11\\)$"):
+        train(cfg)
+
+
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)

@@ -101,12 +101,12 @@ MUTANTS = (
     (TRAIN, "if run in run_ids and (run not in final or", "if run in run_ids and (not final or",
      KILLED),
     # a run without a final checkpoint gives only its first intermediate one
-    (TRAIN, "(run not in final or path.endswith(\"_final.ckpt\"))",
-     "(run not in final and path.endswith(\"_ep001.ckpt\") or path.endswith(\"_final.ckpt\"))",
+    (TRAIN, "(run not in final or snapshot.endswith(\"_final\"))",
+     "(run not in final and snapshot.endswith(\"_ep001\") or snapshot.endswith(\"_final\"))",
      KILLED),
     # eg-s1 is a prefix of eg-s10
     (TRAIN, "if run in run_ids and",
-     "if any(os.path.basename(path).startswith(r) for r in run_ids) and", KILLED),
+     "if any(snapshot.startswith(r) for r in run_ids) and", KILLED),
     # what probe does per rep
     (CLI, "if rep == 0 or spec.head_mode != DETERMINISTIC:", "if rep == 0:", KILLED),
     (CLI, "range(args.reps or ADAPTATION_REPS)", "range(args.reps or 9)", KILLED),
@@ -116,8 +116,13 @@ MUTANTS = (
     # runtime failures reach main's error line only by raising
     (CLI, "            raise ValueError(f\"{path} holds a {kind} agent,",
      "            print(f\"{path} holds a {kind} agent,", KILLED),
-    # config parsing, the manifest and its out_dir rule
-    (CONFIG, "if head.lower() == key:", "if head == key:", KILLED),
+    # the config reader's grammar, the manifest and its out_dir rule
+    # str.splitlines also ends a line at U+0085 and U+000C
+    (CONFIG, "text.split(\"\\n\")", "text.splitlines()", KILLED),
+    (CONFIG, "if value and (depth > indent or", "if value and (depth >= indent or", KILLED),
+    (CONFIG, "key = stripped[:cut].rstrip().lower()", "key = stripped[:cut].rstrip()", KILLED),
+    (CONFIG, "if key not in SCHEMA[section] or key in lines:", "if key not in SCHEMA[section]:",
+     KILLED),
     (CONFIG, "if not out_dir or out_dir != out_dir.strip() or", "if not out_dir or", KILLED),
     (CONFIG, "or \"\\n\" in out_dir or", "or", KILLED),
     (CONFIG, "or \"\\r\" in out_dir:", "or \"\\r\\n\" in out_dir:", KILLED),
